@@ -7,21 +7,15 @@ fails when
 * any shared benchmark regressed by more than ``--max-ratio``
   (default 2x — generous because CI machines are noisy; the trajectory,
   not single-digit percents, is what the gate protects);
-* any recorded speedup pair fell below its floor:
-  ``--min-speedup`` (default 10x) for the m=1000, n=64 simultaneous
-  NASH solve, ``--min-batch-speedup`` (default 4x) for batched versus
-  looped replications, ``--min-warm-speedup`` (default 2x) for the
-  warm-started versus cold Figure-4 sweep, ``--min-churn-speedup``
-  (default 2x) for the online engine's incremental re-equilibration
-  versus cold re-solves over the churn trace,
-  ``--min-class-speedup`` (default 5x) for the class-space versus
-  per-user fixed-budget NASH solve at m=100k users,
-  ``--min-sample-msg-reduction`` (default 10x) for the sampled
-  (power-of-k) ring protocol's per-sweep message reduction against the
-  full-information baseline, and ``--min-shm-speedup`` (default 2x)
-  for the zero-copy data plane's coordinator-serialization-bytes
-  reduction on the sharded m=1e6 solve (a deterministic byte ratio,
-  not a timing — exact on any machine).
+* any recorded speedup fell below its entry in :data:`FLOORS`, matched
+  by exact key;
+* any recorded speedup has no entry in :data:`FLOORS` — a new pair must
+  come with its floor.
+
+It also prints one line naming every ``environment`` field (cpu count,
+python/numpy/scipy versions, machine) that differs between the two
+files, so a cross-machine comparison is never silent.  That line does
+not change the verdict.
 
 Usage::
 
@@ -36,6 +30,21 @@ import json
 import pathlib
 import sys
 
+#: Minimum ratio per recorded speedup key.  Timing pairs are the
+#: baseline mean over the optimized mean (see ``SPEEDUP_SUFFIXES`` in
+#: ``benchmarks/conftest.py``); ``sampled_msg_reduction`` is the sampled
+#: ring protocol's per-sweep message reduction.
+FLOORS: dict[str, float] = {
+    "test_bench_nash_m1000_n64_simultaneous": 10.0,
+    "test_bench_replications_r16": 4.0,
+    "test_bench_fig4_sweep": 2.0,
+    "test_bench_engine_churn": 2.0,
+    "test_bench_class_scale_m1e5": 5.0,
+    "sampled_msg_reduction": 10.0,
+    "test_bench_knash": 1.0,
+    "test_bench_nash_m1000_n64_roundrobin": 1.5,
+}
+
 
 def _load(path: pathlib.Path) -> dict:
     try:
@@ -49,19 +58,7 @@ def _load(path: pathlib.Path) -> dict:
     return payload
 
 
-def compare(
-    baseline: dict,
-    fresh: dict,
-    *,
-    max_ratio: float,
-    min_speedup: float,
-    min_batch_speedup: float = 4.0,
-    min_warm_speedup: float = 2.0,
-    min_churn_speedup: float = 2.0,
-    min_class_speedup: float = 5.0,
-    min_sample_msg_reduction: float = 10.0,
-    min_shm_speedup: float = 2.0,
-) -> list[str]:
+def compare(baseline: dict, fresh: dict, *, max_ratio: float) -> list[str]:
     """Return a list of human-readable gate violations (empty = pass)."""
     failures = []
     base_means = {b["name"]: b["mean"] for b in baseline["benchmarks"]}
@@ -74,24 +71,30 @@ def compare(
                 f"({fresh_means[name]:.6g}s vs {base_means[name]:.6g}s, "
                 f"limit {max_ratio:g}x)"
             )
-    floors = (
-        ("simultaneous", min_speedup),
-        ("replications", min_batch_speedup),
-        ("churn", min_churn_speedup),
-        ("class", min_class_speedup),
-        ("sweep", min_warm_speedup),
-        ("sample", min_sample_msg_reduction),
-        ("shm", min_shm_speedup),
-    )
     for key, speedup in sorted(fresh.get("speedups", {}).items()):
-        for token, floor in floors:
-            if token in key and speedup < floor:
-                failures.append(
-                    f"{key}: recorded speedup {speedup:.2f}x fell below "
-                    f"the {floor:g}x floor"
-                )
-                break
+        floor = FLOORS.get(key)
+        if floor is None:
+            failures.append(
+                f"{key}: recorded speedup {speedup:.2f}x has no floor "
+                f"in bench_gate.FLOORS"
+            )
+        elif speedup < floor:
+            failures.append(
+                f"{key}: recorded speedup {speedup:.2f}x fell below "
+                f"the {floor:g}x floor"
+            )
     return failures
+
+
+def environment_changes(baseline: dict, fresh: dict) -> list[str]:
+    """``field: baseline -> fresh`` for each differing environment field."""
+    base_env = baseline.get("environment", {})
+    fresh_env = fresh.get("environment", {})
+    return [
+        f"{field}: {base_env.get(field)} -> {fresh_env.get(field)}"
+        for field in sorted(set(base_env) | set(fresh_env))
+        if base_env.get(field) != fresh_env.get(field)
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,29 +108,14 @@ def main(argv: list[str] | None = None) -> int:
         help="freshly generated BENCH_nash.json",
     )
     parser.add_argument("--max-ratio", type=float, default=2.0)
-    parser.add_argument("--min-speedup", type=float, default=10.0)
-    parser.add_argument("--min-batch-speedup", type=float, default=4.0)
-    parser.add_argument("--min-warm-speedup", type=float, default=2.0)
-    parser.add_argument("--min-churn-speedup", type=float, default=2.0)
-    parser.add_argument("--min-class-speedup", type=float, default=5.0)
-    parser.add_argument(
-        "--min-sample-msg-reduction", type=float, default=10.0
-    )
-    parser.add_argument("--min-shm-speedup", type=float, default=2.0)
     args = parser.parse_args(argv)
 
     baseline = _load(args.baseline)
     fresh = _load(args.fresh)
-    failures = compare(
-        baseline, fresh,
-        max_ratio=args.max_ratio, min_speedup=args.min_speedup,
-        min_batch_speedup=args.min_batch_speedup,
-        min_warm_speedup=args.min_warm_speedup,
-        min_churn_speedup=args.min_churn_speedup,
-        min_class_speedup=args.min_class_speedup,
-        min_sample_msg_reduction=args.min_sample_msg_reduction,
-        min_shm_speedup=args.min_shm_speedup,
-    )
+    changes = environment_changes(baseline, fresh)
+    if changes:
+        print(f"bench-gate: environment differs ({'; '.join(changes)})")
+    failures = compare(baseline, fresh, max_ratio=args.max_ratio)
     if failures:
         print("bench-gate: FAIL")
         for failure in failures:

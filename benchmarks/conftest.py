@@ -18,19 +18,17 @@ over a churn trace; group ``class-scale``: million-user solves in
 user-class space and the fixed-budget per-user versus class-space
 pair; group ``sampled-nash``: power-of-k sampled versus
 full-information class solves and the sampled ring's message
-reduction; group ``shm-plane``: the zero-copy shared-memory data
-plane versus per-task pickling, including the deterministic
-coordinator-serialization-bytes reduction) into ``BENCH_nash.json`` at the
-repo root — the perf-regression trajectory CI gates on (see
-``benchmarks/bench_gate.py`` and docs/PERFORMANCE.md).  Baseline/
-optimized benchmark pairs — names differing only in a
-``_legacy``/``_vectorized``, ``_looped``/``_batched``,
-``_cold``/``_warm``, ``_peruser``/``_classspace``,
-``_fullinfo``/``_sampled`` or ``_pickled``/``_shmplane`` suffix —
-additionally record their speedup
+reduction) into ``BENCH_nash.json`` at the repo root — the
+perf-regression trajectory CI gates on (see ``benchmarks/bench_gate.py``
+and docs/PERFORMANCE.md).  Baseline/optimized benchmark pairs — names
+differing only in a ``_legacy``/``_vectorized``, ``_looped``/``_batched``,
+``_cold``/``_warm``, ``_peruser``/``_classspace`` or
+``_fullinfo``/``_sampled`` suffix — additionally record their speedup
 ratio.  Benchmarks may also record non-timing ratios (e.g. the sampled
 protocol's message reduction) through the ``record_speedup`` fixture;
 they land in the same ``speedups`` mapping the gate applies floors to.
+The file also records the ``environment`` it was measured in, which the
+gate compares against the baseline's.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import platform
 
 import pytest
 
@@ -48,7 +47,6 @@ BENCH_GROUPS = (
     "engine-churn",
     "class-scale",
     "sampled-nash",
-    "shm-plane",
 )
 #: Baseline/optimized name-suffix pairs recorded as speedups
 #: (baseline suffix first; speedup = baseline mean / optimized mean).
@@ -58,7 +56,6 @@ SPEEDUP_SUFFIXES = (
     ("_cold", "_warm"),
     ("_peruser", "_classspace"),
     ("_fullinfo", "_sampled"),
-    ("_pickled", "_shmplane"),
 )
 #: Non-timing ratios recorded by benchmarks via the ``record_speedup``
 #: fixture; merged into the serialized ``speedups`` mapping.
@@ -87,6 +84,20 @@ def record_speedup():
         EXTRA_SPEEDUPS[key] = float(value)
 
     return record
+
+
+def _environment() -> dict:
+    """The machine and package versions a benchmark file was measured with."""
+    import numpy
+    import scipy
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "machine": platform.machine(),
+    }
 
 
 def _serialize(benchmarks) -> dict:
@@ -119,7 +130,12 @@ def _serialize(benchmarks) -> dict:
                 key = name[: -len(slow_suffix)].rstrip("_")
                 speedups[key] = mean / means[partner]
     speedups.update(EXTRA_SPEEDUPS)
-    return {"schema": 1, "benchmarks": entries, "speedups": speedups}
+    return {
+        "schema": 1,
+        "environment": _environment(),
+        "benchmarks": entries,
+        "speedups": speedups,
+    }
 
 
 def pytest_sessionfinish(session, exitstatus):

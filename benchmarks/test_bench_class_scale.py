@@ -11,8 +11,8 @@ The class aggregation's value proposition, measured two ways:
   speedup pair at ``m = 100_000``: both sides run the *same* fixed
   budget of round-robin best-reply sweeps on the same system, one per
   user and one per class.  The recorded ``class_scale_m1e5`` speedup is
-  gated in CI at >= 5x via ``benchmarks/bench_gate.py
-  --min-class-speedup`` (measured orders of magnitude higher; the floor
+  gated in CI at >= 5x via ``FLOORS`` in ``benchmarks/bench_gate.py``
+  (measured orders of magnitude higher; the floor
   is deliberately loose for noisy CI machines).
 
 See docs/PERFORMANCE.md for the scaling discussion.

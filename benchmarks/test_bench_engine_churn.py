@@ -15,8 +15,8 @@ reopen window, a flash crowd) is re-equilibrated epoch by epoch either
 Both sides certify every epoch at the solver's standard 1e-6 epsilon —
 tests/engine/test_service.py pins the certificate parity — so the
 recorded ``_cold``/``_warm`` speedup measures pure incremental savings,
-not accuracy traded away.  CI gates the ratio at >= 2x via
-``benchmarks/bench_gate.py --min-churn-speedup`` (measured ~5x; see
+not accuracy traded away.  CI gates the ratio at >= 2x via ``FLOORS``
+in ``benchmarks/bench_gate.py`` (measured ~5x; see
 docs/PERFORMANCE.md).
 """
 

@@ -11,8 +11,8 @@ Two measurements, one group:
 * ``test_bench_sampled_msg_reduction`` — the ring protocol's per-sweep
   message cost (token hops + availability polls) at ``k=2`` versus the
   same driver at ``k=n``, recorded as the ``sampled_msg_reduction``
-  ratio CI gates at >= 10x via ``bench_gate.py
-  --min-sample-msg-reduction`` (measured ~20x; see
+  ratio CI gates at >= 10x via ``FLOORS`` in ``bench_gate.py``
+  (measured ~20x; see
   docs/PERFORMANCE.md).
 """
 

@@ -1,9 +1,9 @@
 """Project-wide dataflow facts: symbols, function summaries, call graph.
 
-PR 2's rules were per-file pattern matchers; the invariants the sharded
-solving plan leans on (pool purity, RNG provenance, kernel aliasing,
-typed-error flow, telemetry vocabulary) are properties of *paths through
-the call graph*, not of single files.  This module is the engine that
+The invariants the pool and solver layers lean on (pool purity, RNG
+provenance, kernel aliasing, typed-error flow, telemetry vocabulary) are
+properties of *paths through the call graph*, not of single files, so a
+per-file pattern matcher cannot check them.  This module is the engine that
 makes those checkable:
 
 * :func:`module_name_for` — a stable dotted module name for every file
@@ -62,7 +62,6 @@ __all__ = [
 AUDITED_STATE_MODULES = frozenset(
     {
         "repro.experiments.parallel",
-        "repro.experiments.shm",
         "repro.telemetry.trace",
     }
 )

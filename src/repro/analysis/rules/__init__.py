@@ -11,7 +11,6 @@ from repro.analysis.rules import (  # noqa: F401
     r008_kernel_aliasing,
     r009_swallowed_errors,
     r010_telemetry,
-    r011_shm_lifecycle,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "r008_kernel_aliasing",
     "r009_swallowed_errors",
     "r010_telemetry",
-    "r011_shm_lifecycle",
 ]

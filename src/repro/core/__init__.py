@@ -49,7 +49,6 @@ from repro.core.nash import (
     compute_nash_equilibrium,
     initial_profile,
 )
-from repro.core.jit import jit_available, jit_requested, resolve_backend
 from repro.core.reference import reference_solve
 from repro.core.sampled import (
     SampleCertificate,
@@ -58,11 +57,6 @@ from repro.core.sampled import (
     sample_indices,
     sampled_best_reply,
     sampled_best_reply_batch,
-)
-from repro.core.sharding import (
-    ShardedNashResult,
-    partition_classes,
-    solve_sharded,
 )
 from repro.core.strategy import FEASIBILITY_ATOL, StrategyProfile
 from repro.core.uncertainty import NoisyNashResult, NoisyNashSolver
@@ -82,12 +76,6 @@ __all__ = [
     "ClassNashSolver",
     "aggregate_users",
     "class_best_response_regrets",
-    "jit_available",
-    "jit_requested",
-    "resolve_backend",
-    "ShardedNashResult",
-    "partition_classes",
-    "solve_sharded",
     "DelayedGame",
     "DelayedNashResult",
     "DelayedNashSolver",

@@ -38,8 +38,7 @@ D_k^{(l-1)}|``) so ``tolerance`` means the same thing it means for the
 per-user solver on the expanded system.
 
 See docs/PERFORMANCE.md ("Class-space solving") for when aggregation
-wins and measured numbers; :mod:`repro.core.sharding` builds the
-two-level sharded scheme on top of this module.
+wins and measured numbers.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import numpy as np
 
 from repro._typing import FloatArray
 from repro.core.best_response import optimal_fractions, optimal_fractions_batch
-from repro.core.jit import class_sweep_inplace, resolve_backend, sweep_kernel
 from repro.core.model import DistributedSystem
 from repro.core.nash import DEFAULT_MAX_SWEEPS, DEFAULT_TOLERANCE, UpdateOrder
 from repro.core.sampled import (
@@ -103,7 +101,8 @@ class ClassAggregation:
         push boundary systems over the feasibility check.
     class_of:
         Per-user class index, length ``m`` (``None`` for synthetic
-        aggregations such as shard subproblems, which never expand).
+        aggregations built directly from class vectors, which never
+        expand).
     member_rates:
         The original per-user job rates, length ``m`` (``None`` for
         synthetic aggregations).
@@ -624,7 +623,6 @@ class ClassNashResult:
     norm_history: FloatArray
     class_times: FloatArray
     aggregation: ClassAggregation
-    backend: str = "numpy"
     history: tuple[FloatArray, ...] = field(default=())
     sample: SampleCertificate | None = None
 
@@ -643,17 +641,11 @@ class ClassNashSolver:
 
     The configuration mirrors :class:`~repro.core.nash.NashSolver`
     (tolerance on the user-weighted sweep norm, sweep budget, update
-    order, seed for the ``"random"`` order).  ``use_jit`` selects the
-    optional numba-compiled sweep kernel for the Gauss-Seidel orders:
-    ``None`` defers to the ``REPRO_JIT`` environment flag, ``True``
-    requests it (falling back to the bit-compatible NumPy path when
-    numba is not installed), ``False`` pins the NumPy path.  The backend
-    that actually ran is recorded on the result.
+    order, seed for the ``"random"`` order).
 
     ``sample_k`` switches to power-of-k sampled class replies
     (:mod:`repro.core.sampled`): each class best-responds over its
-    current support plus ``k`` seeded probes per sweep, taking the
-    NumPy path (the JIT kernel is full-information).  ``k >= n`` runs
+    current support plus ``k`` seeded probes per sweep.  ``k >= n`` runs
     the exact code path unchanged — bit-for-bit identical profiles —
     and only attaches the full-information
     :class:`~repro.core.sampled.SampleCertificate`.
@@ -663,7 +655,6 @@ class ClassNashSolver:
     max_sweeps: int = DEFAULT_MAX_SWEEPS
     order: UpdateOrder = "roundrobin"
     seed: int = 0
-    use_jit: bool | None = None
     record_history: bool = False
     sample_k: int | None = None
 
@@ -724,19 +715,10 @@ class ClassNashSolver:
         c, n = aggregation.n_classes, aggregation.n_computers
         rng = np.random.default_rng(self.seed) if self.order == "random" else None
         # Power-of-k mode: k < n restricts every class reply to
-        # support ∪ sample on the NumPy path (the JIT kernel is
-        # full-information); k >= n runs the exact path unchanged.
+        # support ∪ sample; k >= n runs the exact path unchanged.
         sampling = self.sample_k is not None and self.sample_k < n
         sample_k = 0 if self.sample_k is None else self.sample_k
         total_polls = 0
-        backend = resolve_backend(self.use_jit)
-        kernel = (
-            sweep_kernel(backend)
-            if self.order != "simultaneous" and not sampling
-            else None
-        )
-        if kernel is None:
-            backend = "numpy"
         tracer = tracer if tracer is not None else current_tracer()
         trace = tracer.enabled
         if trace:
@@ -750,7 +732,6 @@ class ClassNashSolver:
                 grouping_tol=aggregation.grouping_tol,
                 tolerance=self.tolerance,
                 max_sweeps=self.max_sweeps,
-                backend=backend,
             )
 
         # D_k^{(0)}: zero without a conserving allocation (NASH_0), the
@@ -837,17 +818,6 @@ class ClassNashSolver:
                         flows[k] = y
                         norm += counts_f[k] * abs(d_k - last_times[k])
                         last_times[k] = d_k
-                elif kernel is not None and backend != "numpy":
-                    norm = float(
-                        kernel(
-                            mu, rates, counts_f, demands, flows, lam,
-                            last_times, np.asarray(schedule, dtype=np.intp),
-                        )
-                    )
-                    if norm < 0.0:
-                        raise InfeasibleDemand(
-                            aggregation.total_demand, float(mu.sum())
-                        )
                 else:
                     norm = 0.0
                     for k in schedule:
@@ -927,7 +897,6 @@ class ClassNashSolver:
                 converged=converged,
                 iterations=len(norms),
                 final_norm=norms[-1] if norms else 0.0,
-                backend=backend,
             )
         return ClassNashResult(
             class_fractions=final,
@@ -936,12 +905,7 @@ class ClassNashSolver:
             norm_history=np.asarray(norms, dtype=float),
             class_times=class_times,
             aggregation=aggregation,
-            backend=backend,
             history=tuple(history),
             sample=sample,
         )
 
-
-# Re-exported for callers that want the sweep kernel directly (tests,
-# benchmarks); the solver itself dispatches through resolve_backend.
-_ = class_sweep_inplace

@@ -65,15 +65,13 @@ class DistributedSystem:
         assert_system_stable(mu, phi)
         object.__setattr__(self, "service_rates", mu)
         object.__setattr__(self, "arrival_rates", phi)
-        generated = (not self.computer_names, not self.user_names)
-        object.__setattr__(self, "_default_names", generated)
-        if generated[0]:
+        if not self.computer_names:
             object.__setattr__(
                 self,
                 "computer_names",
                 tuple(f"computer-{i}" for i in range(mu.size)),
             )
-        if generated[1]:
+        if not self.user_names:
             object.__setattr__(
                 self, "user_names", tuple(f"user-{j}" for j in range(phi.size))
             )
@@ -94,18 +92,6 @@ class DistributedSystem:
     def n_users(self) -> int:
         """Number of users ``m``."""
         return int(self.arrival_rates.size)
-
-    @property
-    def has_default_names(self) -> tuple[bool, bool]:
-        """Were (computer, user) names auto-generated at construction?
-
-        A worker reconstructing a system from its rate vectors alone
-        regenerates identical defaults, so payloads only need to carry
-        names when this is ``(False, False)`` somewhere — at ``m = 10^6``
-        the generated ``user-*`` tuple dwarfs the rate arrays in pickle
-        bytes (see :mod:`repro.experiments.shm`).
-        """
-        return getattr(self, "_default_names", (False, False))
 
     @property
     def total_processing_rate(self) -> float:

@@ -20,6 +20,8 @@ ext_sampled           EXT11 (power-of-k sampled best replies)
 =========  =================================================
 """
 
+import importlib
+
 from repro.experiments.ascii_plot import ascii_chart, sparkline
 from repro.experiments.common import (
     SCHEME_ORDER,
@@ -28,13 +30,26 @@ from repro.experiments.common import (
     run_schemes_sweep,
 )
 from repro.experiments.parallel import parallel_map, run_experiments_parallel
-from repro.experiments.report import generate_report, table_to_markdown
-from repro.experiments.runner import (
-    EXPERIMENTS,
-    main,
-    render_chart,
-    run_experiment,
-)
+
+#: Exports of the runner and of the report (which imports the runner),
+#: loaded on first access.  Importing the runner eagerly here would put
+#: it in ``sys.modules`` before ``python -m repro.experiments.runner``
+#: executes it, which runpy reports as a RuntimeWarning.
+_LAZY_EXPORTS = {
+    "EXPERIMENTS": "runner",
+    "main": "runner",
+    "render_chart": "runner",
+    "run_experiment": "runner",
+    "generate_report": "report",
+    "table_to_markdown": "report",
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
 __all__ = [
     "ascii_chart",

@@ -17,13 +17,6 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.core.continuation import SweepPredictor
 from repro.core.model import DistributedSystem
 from repro.experiments.parallel import parallel_map
-from repro.experiments.shm import (
-    ArrayRef,
-    SharedArrayPlane,
-    rehydrate,
-    resolve,
-    shm_available,
-)
 from repro.schemes import NashScheme, standard_schemes
 from repro.schemes.base import LoadBalancingScheme, SchemeResult
 from repro.telemetry.trace import current_tracer
@@ -145,49 +138,6 @@ def _solve_sweep_point(
     return parameter, run_schemes(system, schemes)
 
 
-def _system_from_rates(
-    mu: "Any", phi: "Any"
-) -> DistributedSystem:
-    # Factory for rehydrate(): validated once per worker per content.
-    return DistributedSystem(service_rates=mu, arrival_rates=phi)
-
-
-#: Zero-copy sweep point: the system travels as two shared-array handles
-#: (rates dedupe across points — a sweep typically varies only one of
-#: them) plus its names when — and only when — they are custom; default
-#: names are regenerated worker-side for free.
-ShmSweepPoint = tuple[
-    Any,
-    "ArrayRef | Any",
-    "ArrayRef | Any",
-    tuple[tuple[str, ...], tuple[str, ...]] | None,
-    "tuple[LoadBalancingScheme, ...] | None",
-]
-
-
-def _solve_sweep_point_shm(
-    point: ShmSweepPoint,
-) -> tuple[Any, dict[str, SchemeResult]]:
-    """Zero-copy twin of :func:`_solve_sweep_point` (pool worker).
-
-    Rebuilds the :class:`DistributedSystem` from shared rate arrays; the
-    construction (validation copies, default-name generation) is
-    memoized per worker by content token, so every sweep point after the
-    first against the same system is pure solve time.
-    """
-    parameter, mu_handle, phi_handle, names, schemes = point
-    if names is None:
-        system = rehydrate(_system_from_rates, mu_handle, phi_handle)
-    else:
-        system = DistributedSystem(
-            service_rates=resolve(mu_handle),
-            arrival_rates=resolve(phi_handle),
-            computer_names=names[0],
-            user_names=names[1],
-        )
-    return parameter, run_schemes(system, schemes)
-
-
 def _sweep_axis_order(points: Sequence[tuple[Any, DistributedSystem]]) -> list[int]:
     """Point indices ordered along the sweep axis (input order fallback)."""
     try:
@@ -273,8 +223,6 @@ def run_schemes_sweep(
     *,
     n_workers: int = 1,
     chunksize: int | None = None,
-    context: str | None = None,
-    use_shm: bool | None = None,
     continuation: bool = False,
 ) -> list[tuple[Any, dict[str, SchemeResult]]]:
     """Evaluate every scheme at every sweep point, optionally in parallel.
@@ -294,16 +242,6 @@ def run_schemes_sweep(
     sweeps.  Continuation is inherently sequential, so it cannot be
     combined with ``n_workers > 1``.
 
-    ``use_shm`` routes the system arrays through the zero-copy data
-    plane (:mod:`repro.experiments.shm`): each point's rate vectors are
-    published to shared memory (deduped by content — a utilization sweep
-    re-publishes the same ``mu`` once) and workers rebuild the systems
-    from read-only views, with per-worker construction memoization.
-    ``None`` (default) engages the plane exactly when the sweep fans out
-    over a pool; results are bit-identical either way.  ``context`` pins
-    the pool's start method (see
-    :func:`repro.experiments.parallel.parallel_map`).
-
     Each solved point is recorded on the ambient telemetry tracer as a
     ``sweep.point`` event (``repro-trace summary`` shows the roll-up).
     """
@@ -316,46 +254,9 @@ def run_schemes_sweep(
             )
         sweep = _run_sweep_continuation(point_list, chosen)
     else:
-        if use_shm is None:
-            use_shm = (
-                shm_available() and n_workers > 1 and len(point_list) > 1
-            )
-        if use_shm:
-            with SharedArrayPlane() as plane:
-                shm_work: list[ShmSweepPoint] = []
-                for parameter, system in point_list:
-                    defaults = system.has_default_names
-                    names = (
-                        None
-                        if defaults[0] and defaults[1]
-                        else (system.computer_names, system.user_names)
-                    )
-                    shm_work.append(
-                        (
-                            parameter,
-                            plane.publish(system.service_rates),
-                            plane.publish(system.arrival_rates),
-                            names,
-                            chosen,
-                        )
-                    )
-                sweep = parallel_map(
-                    _solve_sweep_point_shm,
-                    shm_work,
-                    n_workers=n_workers,
-                    chunksize=chunksize,
-                    context=context,
-                )
-        else:
-            work = [
-                (parameter, system, chosen) for parameter, system in point_list
-            ]
-            sweep = parallel_map(
-                _solve_sweep_point,
-                work,
-                n_workers=n_workers,
-                chunksize=chunksize,
-                context=context,
-            )
+        work = [(parameter, system, chosen) for parameter, system in point_list]
+        sweep = parallel_map(
+            _solve_sweep_point, work, n_workers=n_workers, chunksize=chunksize
+        )
     _emit_sweep_telemetry(sweep, continuation=continuation)
     return sweep

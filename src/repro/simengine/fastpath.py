@@ -47,7 +47,6 @@ from repro.core.strategy import StrategyProfile
 from repro.simengine.simulator import SimulationResult
 
 __all__ = [
-    "predraw_uniform_pool",
     "simulate_profile_fast",
     "simulate_profile_fast_batch",
     "mm1_lindley_waits",
@@ -175,131 +174,6 @@ def _extend_gaps(
     return gaps
 
 
-class _LazyStreams:
-    """Per-run generators, constructed (and positioned) on first use.
-
-    When the uniform pool was pre-drawn elsewhere
-    (:func:`predraw_uniform_pool`), a run's stream must resume exactly
-    where the pool draw left it: constructing the generator and drawing
-    (and discarding) the run's ``totals[r]`` pool uniforms reproduces
-    that state bit for bit (PCG64 advances deterministically).  Laziness
-    matters because only the rare paths — gap extension past the 6-sigma
-    margin, general service distributions — touch the stream at all, so
-    the common case pays zero redraws.
-    """
-
-    def __init__(
-        self,
-        seeds: Sequence[int | np.random.SeedSequence],
-        totals: np.ndarray,
-        *,
-        skip_pool: bool,
-    ):
-        self._seeds = list(seeds)
-        self._totals = totals
-        self._skip_pool = skip_pool
-        self._cache: list[np.random.Generator | None] = [None] * len(
-            self._seeds
-        )
-
-    def __getitem__(self, r: int) -> np.random.Generator:
-        rng = self._cache[r]
-        if rng is None:
-            rng = _run_stream(self._seeds[r])
-            if self._skip_pool:
-                rng.random(int(self._totals[r]))
-            self._cache[r] = rng
-        return rng
-
-
-def _pool_layout(
-    lam_matrix: np.ndarray, horizon: float, stages: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot geometry of the pre-drawn uniform pool.
-
-    Returns ``(size_matrix, offsets, totals)``: per-(run, computer) slot
-    width (6-sigma horizon coverage), each slot's start offset within its
-    run's row, and each run's total draw count.  Purely a function of
-    the runs' own loads, so the layout of one run never depends on which
-    other runs share the batch.
-    """
-    expected = lam_matrix * horizon
-    size_matrix = np.where(
-        lam_matrix > 0.0,
-        (expected + 6.0 * np.sqrt(expected) + 16.0).astype(np.int64),
-        0,
-    )
-    slots = stages * size_matrix
-    offsets = np.zeros(lam_matrix.shape, dtype=np.int64)
-    np.cumsum(slots[:, :-1], axis=1, out=offsets[:, 1:])
-    totals = slots.sum(axis=1)
-    return size_matrix, offsets, totals
-
-
-def _profile_loads(
-    system: DistributedSystem,
-    profiles: StrategyProfile | Sequence[StrategyProfile],
-    n_runs: int,
-) -> tuple[list[int], list[np.ndarray], list[StrategyProfile]]:
-    """Validate profiles and compute per-distinct-profile loads.
-
-    Returns ``(row_key, loads_rows, distinct_profiles)`` where
-    ``loads_rows[row_key[r]]`` is run ``r``'s per-computer load vector
-    and ``distinct_profiles`` aligns with ``loads_rows``.
-    """
-    if isinstance(profiles, StrategyProfile):
-        row_profiles = [profiles] * n_runs
-    else:
-        row_profiles = list(profiles)
-        if len(row_profiles) != n_runs:
-            raise ValueError("profiles must be one per seed (or a single one)")
-    distinct: dict[int, int] = {}
-    loads_rows: list[np.ndarray] = []
-    distinct_profiles: list[StrategyProfile] = []
-    for profile in row_profiles:
-        if id(profile) not in distinct:
-            profile.validate(system)
-            distinct[id(profile)] = len(loads_rows)
-            loads_rows.append(system.loads(profile.fractions))
-            distinct_profiles.append(profile)
-    row_key = [distinct[id(profile)] for profile in row_profiles]
-    return row_key, loads_rows, distinct_profiles
-
-
-def predraw_uniform_pool(
-    system: DistributedSystem,
-    profiles: StrategyProfile | Sequence[StrategyProfile],
-    *,
-    horizon: float,
-    seeds: Sequence[int | np.random.SeedSequence],
-    service_distributions=None,
-) -> np.ndarray:
-    """The exact ``(runs, draws)`` uniform block a batched run consumes.
-
-    Row ``r`` holds the leading ``totals[r]`` uniforms of seed ``r``'s
-    stream in the layout :func:`_pool_layout` describes (zero-padded to
-    the widest row).  Passing the result back to
-    :func:`simulate_profile_fast_batch` via ``uniform_pool=`` — whole,
-    or as any contiguous row slice aligned with a seed slice — skips the
-    draw and yields bit-identical results, which is what lets a parallel
-    replication study pre-draw once and share the block zero-copy across
-    workers (:mod:`repro.experiments.replication`).
-    """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seeds must be nonempty")
-    row_key, loads_rows, _ = _profile_loads(system, profiles, len(seeds))
-    lam_matrix = np.stack([loads_rows[key] for key in row_key])
-    stages = 2 if service_distributions is not None else 3
-    _, _, totals = _pool_layout(lam_matrix, horizon, stages)
-    pool = np.zeros((len(seeds), int(totals.max())))
-    for r, seed in enumerate(seeds):
-        pool[r, : totals[r]] = _run_stream(seed).random(int(totals[r]))
-    return pool
-
-
 def simulate_profile_fast_batch(
     system: DistributedSystem,
     profiles: StrategyProfile | Sequence[StrategyProfile],
@@ -308,7 +182,6 @@ def simulate_profile_fast_batch(
     warmup: float = 0.0,
     seeds: Sequence[int | np.random.SeedSequence],
     service_distributions=None,
-    uniform_pool: np.ndarray | None = None,
 ) -> list[SimulationResult]:
     """Simulate many independent runs in one set of vectorized passes.
 
@@ -332,14 +205,6 @@ def simulate_profile_fast_batch(
     inside the ``[warmup, horizon]`` measurement window, clipping jobs
     that straddle either edge — the estimator that stays unbiased at
     high load (see the cross-engine parity tests).
-
-    ``uniform_pool`` supplies the pre-drawn uniform block from
-    :func:`predraw_uniform_pool` (one row per seed, in seed order) so
-    the draw — by far the dominant per-run cost at small horizons — is
-    skipped here; results are bit-identical because run streams resume
-    exactly past their pool block (see :class:`_LazyStreams`).  This is
-    how the parallel replication layer shares one coordinator-drawn
-    block across workers without re-pickling it per task.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -355,30 +220,41 @@ def simulate_profile_fast_batch(
     if not seeds:
         raise ValueError("seeds must be nonempty")
     n_runs = len(seeds)
-    row_key, loads_rows, distinct_profiles = _profile_loads(
-        system, profiles, n_runs
-    )
+    if isinstance(profiles, StrategyProfile):
+        row_profiles = [profiles] * n_runs
+    else:
+        row_profiles = list(profiles)
+        if len(row_profiles) != n_runs:
+            raise ValueError("profiles must be one per seed (or a single one)")
+    distinct: dict[int, int] = {}
+    loads_rows = []
     cdf_rows = []
-    for loads, profile in zip(loads_rows, distinct_profiles):
-        # Per-computer user-attribution CDF: cumulative mixing
-        # probabilities ``s_ji phi_j / lambda_i`` down the user axis
-        # (columns of idle computers are unused and left at zero).
-        contributions = profile.fractions * system.arrival_rates[:, None]
-        probs = np.divide(
-            contributions,
-            loads[None, :],
-            out=np.zeros_like(contributions),
-            where=loads[None, :] > 0.0,
-        )
-        cdf = np.cumsum(probs, axis=0)
-        cdf[-1, :] = 1.0
-        # Transposed + contiguous: row i feeds searchsorted directly.
-        cdf_rows.append(np.ascontiguousarray(cdf.T))
+    for profile in row_profiles:
+        if id(profile) not in distinct:
+            profile.validate(system)
+            distinct[id(profile)] = len(loads_rows)
+            loads = system.loads(profile.fractions)
+            loads_rows.append(loads)
+            # Per-computer user-attribution CDF: cumulative mixing
+            # probabilities ``s_ji phi_j / lambda_i`` down the user axis
+            # (columns of idle computers are unused and left at zero).
+            contributions = profile.fractions * system.arrival_rates[:, None]
+            probs = np.divide(
+                contributions,
+                loads[None, :],
+                out=np.zeros_like(contributions),
+                where=loads[None, :] > 0.0,
+            )
+            cdf = np.cumsum(probs, axis=0)
+            cdf[-1, :] = 1.0
+            # Transposed + contiguous: row i feeds searchsorted directly.
+            cdf_rows.append(np.ascontiguousarray(cdf.T))
+    row_key = [distinct[id(profile)] for profile in row_profiles]
 
     n_users, n_computers = system.n_users, system.n_computers
+    streams = [_run_stream(seed) for seed in seeds]
 
-    # Pre-draw each run's entire uniform demand in ONE generator call
-    # (or accept the identical block pre-drawn by the coordinator).
+    # Pre-draw each run's entire uniform demand in ONE generator call.
     # Layout per run: for each computer (ascending index) a slot of
     # ``stages * size`` uniforms — gap, service (M/M/1 only) and
     # attribution draws, each ``size`` wide, where ``size`` covers the
@@ -387,29 +263,20 @@ def simulate_profile_fast_batch(
     # other runs share the batch (``replicate_until`` relies on this
     # when it grows batches chunk by chunk).
     lam_matrix = np.stack([loads_rows[key] for key in row_key])
+    expected = lam_matrix * horizon
+    size_matrix = np.where(
+        lam_matrix > 0.0,
+        (expected + 6.0 * np.sqrt(expected) + 16.0).astype(np.int64),
+        0,
+    )
     stages = 2 if service_distributions is not None else 3
-    size_matrix, offsets, totals = _pool_layout(lam_matrix, horizon, stages)
-    if uniform_pool is None:
-        streams = _LazyStreams(seeds, totals, skip_pool=False)
-        pool = np.zeros((n_runs, int(totals.max())))
-        for r in range(n_runs):
-            pool[r, : totals[r]] = streams[r].random(int(totals[r]))
-    else:
-        # Streams are reconstructed lazily *past* the pool block, so the
-        # rare direct-draw paths (gap extension, general services) stay
-        # bit-identical to the self-drawn case.
-        streams = _LazyStreams(seeds, totals, skip_pool=True)
-        pool = np.asarray(uniform_pool, dtype=float)
-        if pool.ndim != 2 or pool.shape[0] != n_runs:
-            raise ValueError(
-                f"uniform_pool must have one row per seed "
-                f"({n_runs}), got shape {pool.shape}"
-            )
-        if pool.shape[1] < int(totals.max()):
-            raise ValueError(
-                f"uniform_pool rows too narrow: need {int(totals.max())} "
-                f"draws, got {pool.shape[1]}"
-            )
+    slots = stages * size_matrix
+    offsets = np.zeros((n_runs, n_computers), dtype=np.int64)
+    np.cumsum(slots[:, :-1], axis=1, out=offsets[:, 1:])
+    totals = slots.sum(axis=1)
+    pool = np.zeros((n_runs, int(totals.max())))
+    for r in range(n_runs):
+        pool[r, : totals[r]] = streams[r].random(int(totals[r]))
     flat_pool = pool.ravel()
     pool_width = pool.shape[1]
 

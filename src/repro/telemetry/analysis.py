@@ -22,7 +22,6 @@ __all__ = [
     "event_counts",
     "metrics_snapshot",
     "reconstruct_norm_history",
-    "pool_summary",
     "protocol_summary",
     "sim_summary",
     "solver_summary",
@@ -215,53 +214,19 @@ def sweep_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
     }
 
 
-def pool_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
-    """Zero-copy data-plane view (:mod:`repro.experiments.shm`).
-
-    Rolls up the ``pool.shm.publish`` events (one per shared block) and
-    the ``pool.shm.close`` events (one per plane lifetime, carrying the
-    plane's final :class:`~repro.experiments.shm.PlaneStats`) into one
-    overview: blocks and bytes actually shared, bytes saved by content
-    dedupe and fan-out (versus re-pickling per task), and how often the
-    plane fell back to inline arrays.
-    """
-    publishes: list[dict[str, Any]] = []
-    closes: list[dict[str, Any]] = []
-    for event in events:
-        if event.name == "pool.shm.publish":
-            publishes.append(dict(event.fields))
-        elif event.name == "pool.shm.close":
-            closes.append(dict(event.fields))
-    return {
-        "publishes": publishes,
-        "n_blocks": len(publishes),
-        "bytes_published": sum(int(p.get("nbytes", 0)) for p in publishes),
-        "n_planes": len(closes),
-        "bytes_shared": sum(int(c.get("bytes_shared", 0)) for c in closes),
-        "bytes_saved": sum(int(c.get("bytes_saved", 0)) for c in closes),
-        "cache_hits": sum(int(c.get("cache_hits", 0)) for c in closes),
-        "fallbacks": sum(int(c.get("fallbacks", 0)) for c in closes),
-    }
-
-
 def class_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
-    """Class-space solver and sharded-solve view.
+    """Class-space solver view.
 
     Rolls up the ``solver.class_*`` events a
     :class:`~repro.core.classes.ClassNashSolver` run emits (start /
-    per-sweep norms / done) and the coordinator-side ``shard.round`` /
-    ``shard.solve`` events of :func:`~repro.core.sharding.solve_sharded`
-    into one overview: aggregation shape (classes, users, compression),
-    the user-weighted norm history (reconstructible exactly — the same
-    float round-trip guarantee the per-user solver enjoys), the chosen
-    kernel backend, and the per-round global certificate epsilons of a
-    sharded run.
+    per-sweep norms / done) into one overview: aggregation shape
+    (classes, users, compression) and the user-weighted norm history
+    (reconstructible exactly — the same float round-trip guarantee the
+    per-user solver enjoys).
     """
     starts: list[dict[str, Any]] = []
     sweeps: list[dict[str, Any]] = []
     dones: list[dict[str, Any]] = []
-    rounds: list[dict[str, Any]] = []
-    shard_solves: list[dict[str, Any]] = []
     for event in events:
         if event.name == "solver.class_start":
             starts.append(dict(event.fields))
@@ -269,10 +234,6 @@ def class_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
             sweeps.append(dict(event.fields))
         elif event.name == "solver.class_done":
             dones.append(dict(event.fields))
-        elif event.name == "shard.round":
-            rounds.append(dict(event.fields))
-        elif event.name == "shard.solve":
-            shard_solves.append(dict(event.fields))
     last_start = starts[-1] if starts else {}
     return {
         "solves": dones,
@@ -280,18 +241,10 @@ def class_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
         "classes": int(last_start.get("classes", 0)),
         "users": int(last_start.get("users", 0)),
         "compression": float(last_start.get("compression", 0.0)),
-        "backend": str(last_start.get("backend", "numpy")),
         "norm_history": [float(s["norm"]) for s in sweeps],
         "total_sweeps": len(sweeps),
         "total_elapsed_s": float(
             sum(float(s.get("elapsed_s", 0.0)) for s in sweeps)
-        ),
-        "shard_rounds": rounds,
-        "n_rounds": len(rounds),
-        "n_shard_solves": len(shard_solves),
-        "epsilon_history": [float(r["epsilon"]) for r in rounds],
-        "final_epsilon": (
-            float(rounds[-1]["epsilon"]) if rounds else None
         ),
     }
 

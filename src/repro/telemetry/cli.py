@@ -20,7 +20,6 @@ from typing import Any, Sequence
 from repro.telemetry.analysis import (
     class_summary,
     engine_summary,
-    pool_summary,
     protocol_summary,
     reconstruct_norm_history,
     sim_summary,
@@ -57,16 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="emit machine-readable JSON instead of text",
         )
     return parser
-
-
-def _format_bytes(n: int) -> str:
-    """Human-scale byte count (binary units, one decimal)."""
-    value = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024.0 or unit == "GiB":
-            return f"{value:.1f}{unit}" if unit != "B" else f"{n}B"
-        value /= 1024.0
-    return f"{n}B"  # pragma: no cover - unreachable
 
 
 def _render_summary(events: list[TraceEvent]) -> tuple[dict[str, Any], str]:
@@ -118,38 +107,17 @@ def _render_summary(events: list[TraceEvent]) -> tuple[dict[str, Any], str]:
             f"sweeps: {sweeps['n_points']} point solves ({mode}): {per_scheme}"
         )
     classes = class_summary(events)
-    if classes["n_solves"] or classes["n_rounds"]:
-        shape = (
-            f"{classes['classes']} classes / {classes['users']} users "
-            f"({classes['compression']:.0f}x, {classes['backend']})"
+    if classes["n_solves"]:
+        final = (
+            f"final norm {classes['norm_history'][-1]:.3g}, "
+            if classes["norm_history"]
+            else ""
         )
-        if classes["n_rounds"]:
-            lines.append(
-                f"class-space: {classes['n_solves']} solves, "
-                f"{classes['total_sweeps']} sweeps, {shape}; "
-                f"sharded: {classes['n_rounds']} rounds / "
-                f"{classes['n_shard_solves']} shard solves, "
-                f"final epsilon {classes['final_epsilon']:.3g}"
-            )
-        else:
-            final = (
-                f"final norm {classes['norm_history'][-1]:.3g}, "
-                if classes["norm_history"]
-                else ""
-            )
-            lines.append(
-                f"class-space: {classes['n_solves']} solves, "
-                f"{classes['total_sweeps']} sweeps, {final}{shape}"
-            )
-    pool = pool_summary(events)
-    if pool["n_blocks"] or pool["n_planes"]:
         lines.append(
-            f"shm-plane: {pool['n_planes']} planes, "
-            f"{pool['n_blocks']} blocks / "
-            f"{_format_bytes(pool['bytes_shared'])} shared, "
-            f"{_format_bytes(pool['bytes_saved'])} saved "
-            f"({pool['cache_hits']} dedupe hits, "
-            f"{pool['fallbacks']} fallbacks)"
+            f"class-space: {classes['n_solves']} solves, "
+            f"{classes['total_sweeps']} sweeps, {final}"
+            f"{classes['classes']} classes / {classes['users']} users "
+            f"({classes['compression']:.0f}x)"
         )
     engine = engine_summary(events)
     if engine["n_epochs"]:

@@ -61,18 +61,12 @@ DECLARED_EVENTS: dict[str, str] = {
     "solver.class_start": "summary",
     "solver.class_sweep": "convergence",
     "solver.class_done": "summary",
-    # sharded class-space solve (coordinator-side)
-    "shard.solve": "summary",
-    "shard.round": "summary",
     # simulation engine
     "sim.run": "summary",
     "sim.outage": "summary",
     # sweep evaluator and metrics flushes
     "sweep.point": "summary",
     "telemetry.metrics": "summary",
-    # zero-copy shared-memory data plane (repro.experiments.shm)
-    "pool.shm.publish": "summary",
-    "pool.shm.close": "summary",
 }
 
 

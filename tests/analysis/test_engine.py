@@ -10,7 +10,7 @@ from repro.analysis.registry import all_rules, get_rule, selected_rules
 from repro.analysis.source import SourceFile, parse_suppressions
 
 
-def test_registry_exposes_the_eleven_rules():
+def test_registry_exposes_the_ten_rules():
     codes = [rule.code for rule in all_rules()]
     assert codes == [
         "R001",
@@ -23,7 +23,6 @@ def test_registry_exposes_the_eleven_rules():
         "R008",
         "R009",
         "R010",
-        "R011",
     ]
     for rule in all_rules():
         assert rule.name
@@ -48,7 +47,6 @@ def test_selected_rules_select_and_ignore():
         "R008",
         "R009",
         "R010",
-        "R011",
     ]
     with pytest.raises(KeyError):
         selected_rules(["R001", "R999"])

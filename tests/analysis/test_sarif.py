@@ -186,7 +186,7 @@ def test_sarif_clean_run_validates_with_empty_results():
     jsonschema.validate(doc, SARIF_SCHEMA)
     assert doc["runs"][0]["results"] == []
     rule_ids = [r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]]
-    assert rule_ids == [f"R{i:03d}" for i in range(1, 12)]
+    assert rule_ids == [f"R{i:03d}" for i in range(1, 11)]
 
 
 def test_sarif_columns_are_one_based():

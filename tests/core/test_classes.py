@@ -348,4 +348,3 @@ class TestTracing:
         assert summary["classes"] == 1
         assert summary["users"] == 10
         assert summary["total_sweeps"] == result.iterations
-        assert summary["backend"] == result.backend

@@ -80,6 +80,20 @@ class TestRunSchemes:
             )
 
 
+def _assert_sweeps_identical(serial, parallel):
+    import numpy as np
+
+    assert [p for p, _ in serial] == [p for p, _ in parallel]
+    for (_, a), (_, b) in zip(serial, parallel):
+        assert set(a) == set(b)
+        for name in a:
+            assert a[name].overall_time == b[name].overall_time
+            assert a[name].fairness == b[name].fairness
+            np.testing.assert_array_equal(
+                a[name].profile.fractions, b[name].profile.fractions
+            )
+
+
 class TestRunSchemesSweep:
     def test_serial_sweep_preserves_order(self):
         from repro.workloads.sweeps import sweep_points
@@ -97,11 +111,33 @@ class TestRunSchemesSweep:
         serial = run_schemes_sweep(points)
         parallel = run_schemes_sweep(points, n_workers=2)
         assert [p for p, _ in serial] == [p for p, _ in parallel]
-        for (_, a), (_, b) in zip(serial, parallel):
-            for name in a:
-                assert a[name].overall_time == pytest.approx(
-                    b[name].overall_time
-                )
+
+    def test_parallel_bit_identical_to_serial(self):
+        from repro.workloads.sweeps import sweep_points
+
+        points = sweep_points("utilization", [0.2, 0.4, 0.6], n_users=4)
+        _assert_sweeps_identical(
+            run_schemes_sweep(points), run_schemes_sweep(points, n_workers=2)
+        )
+
+    def test_parallel_bit_identical_with_custom_names(self):
+        from repro.core.model import DistributedSystem
+
+        points = [
+            (
+                scale,
+                DistributedSystem(
+                    service_rates=[10.0, 5.0, 2.0],
+                    arrival_rates=[2.0 * scale, 1.0 * scale],
+                    computer_names=("alpha", "beta", "gamma"),
+                    user_names=("u1", "u2"),
+                ),
+            )
+            for scale in (1.0, 2.0, 3.0)
+        ]
+        _assert_sweeps_identical(
+            run_schemes_sweep(points), run_schemes_sweep(points, n_workers=2)
+        )
 
     def test_explicit_schemes(self, table1_small):
         from repro.schemes import ProportionalScheme
@@ -116,65 +152,3 @@ class TestRunSchemesSweep:
 
         with pytest.raises(KeyError, match="unknown sweep"):
             sweep_points("nope")
-
-
-class TestSweepSharedMemory:
-    """run_schemes_sweep's zero-copy path must be invisible in results."""
-
-    @pytest.fixture(autouse=True)
-    def _small_blocks(self, monkeypatch):
-        import functools
-
-        from repro.experiments import common as common_module
-        from repro.experiments.shm import SharedArrayPlane, clear_worker_cache
-
-        monkeypatch.setattr(
-            common_module,
-            "SharedArrayPlane",
-            functools.partial(SharedArrayPlane, min_bytes=0),
-        )
-        clear_worker_cache()
-        yield
-        clear_worker_cache()
-
-    def test_shm_sweep_bit_identical_to_serial(self):
-        import numpy as np
-
-        from repro.workloads.sweeps import sweep_points
-
-        points = sweep_points("utilization", [0.2, 0.4, 0.6], n_users=4)
-        serial = run_schemes_sweep(points, use_shm=False)
-        shm = run_schemes_sweep(points, n_workers=2, use_shm=True)
-        assert [p for p, _ in serial] == [p for p, _ in shm]
-        for (_, a), (_, b) in zip(serial, shm):
-            assert set(a) == set(b)
-            for name in a:
-                assert a[name].overall_time == b[name].overall_time
-                assert a[name].fairness == b[name].fairness
-                np.testing.assert_array_equal(
-                    a[name].profile.fractions, b[name].profile.fractions
-                )
-
-    def test_shm_sweep_preserves_custom_names(self):
-        from repro.core.model import DistributedSystem
-
-        system = DistributedSystem(
-            service_rates=[10.0, 5.0],
-            arrival_rates=[2.0, 1.0],
-            computer_names=("alpha", "beta"),
-            user_names=("u1", "u2"),
-        )
-        assert system.has_default_names == (False, False)
-        results = run_schemes_sweep(
-            [(0.0, system), (1.0, system)], n_workers=2, use_shm=True
-        )
-        assert len(results) == 2
-
-    def test_default_names_detected(self):
-        from repro.core.model import DistributedSystem
-
-        system = DistributedSystem(
-            service_rates=[10.0, 5.0], arrival_rates=[2.0, 1.0]
-        )
-        assert system.has_default_names == (True, True)
-        assert system.computer_names == ("computer-0", "computer-1")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -49,8 +51,8 @@ class TestParallelMap:
         assert result == [x * x for x in range(10)]
 
     def test_chunksize_one_for_skewed_items(self):
-        # Skewed workloads (e.g. class shards) pin chunksize=1 so no
-        # expensive item queues behind a cheap one; semantics unchanged.
+        # Skewed workloads pin chunksize=1 so no expensive item queues
+        # behind a cheap one; semantics unchanged.
         result = parallel_map(
             square, list(range(10)), n_workers=2, chunksize=1
         )
@@ -74,9 +76,9 @@ class TestPoolReuse:
     def test_executor_is_reused_across_calls(self):
         shutdown_pools()
         parallel_map(square, list(range(8)), n_workers=2)
-        first = _POOLS[(2, None)]
+        first = _POOLS[2]
         parallel_map(square, list(range(8)), n_workers=2)
-        assert _POOLS[(2, None)] is first
+        assert _POOLS[2] is first
 
     def test_shutdown_then_recreate(self):
         parallel_map(square, list(range(8)), n_workers=2)
@@ -95,27 +97,8 @@ class TestPoolReuse:
     def test_pool_capped_by_item_count(self):
         shutdown_pools()
         parallel_map(square, [1, 2], n_workers=16)
-        assert list(_POOLS) == [(2, None)]
+        assert list(_POOLS) == [2]
         shutdown_pools()
-
-    def test_pools_keyed_by_context(self):
-        # Regression: pools used to be keyed by worker count alone, so a
-        # caller pinning a different start method silently reused an
-        # executor built with the wrong one.
-        shutdown_pools()
-        parallel_map(square, list(range(8)), n_workers=2)
-        default_pool = _POOLS[(2, None)]
-        result = parallel_map(
-            square, list(range(8)), n_workers=2, context="spawn"
-        )
-        assert result == [x * x for x in range(8)]
-        assert set(_POOLS) == {(2, None), (2, "spawn")}
-        assert _POOLS[(2, "spawn")] is not default_pool
-        shutdown_pools()
-
-    def test_invalid_context_rejected(self):
-        with pytest.raises(ValueError, match="context"):
-            parallel_map(square, [1, 2, 3], n_workers=2, context="thread")
 
     def test_shutdown_midflight_then_immediate_reuse(self):
         # Lifecycle: shutting the shared pools down while results from a
@@ -130,6 +113,29 @@ class TestPoolReuse:
         shutdown_pools()
 
 
+ATEXIT_SCRIPT = """
+from repro.experiments.parallel import parallel_map
+
+print(parallel_map(abs, [-1, -2, -3, -4], n_workers=2))
+# Deliberately no shutdown_pools(): the atexit hook must tear the pool
+# down before the interpreter (and its resource tracker) shuts down.
+"""
+
+
+class TestAtexitShutdown:
+    def test_live_pool_exits_without_warnings(self):
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", ATEXIT_SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[1, 2, 3, 4]"
+        # resource_tracker prints leak warnings to stderr at exit.
+        assert "resource_tracker" not in result.stderr
+
+
 class TestAdaptiveChunksize:
     def test_four_chunks_per_worker(self):
         assert adaptive_chunksize(80, 4) == 5
@@ -141,7 +147,7 @@ class TestAdaptiveChunksize:
 
     def test_fewer_items_than_workers_never_batches(self):
         # Boundary: with n_items < n_workers, rounding used to hand a
-        # whole shard batch to one worker as a single chunk.  Every item
+        # whole batch to one worker as a single chunk.  Every item
         # must be its own chunk so the pool actually fans out.
         for n_items in range(1, 8):
             assert adaptive_chunksize(n_items, 8) == 1

@@ -1,4 +1,4 @@
-"""Tests for the parallel replication layer and the pre-drawn pool."""
+"""Tests for the parallel replication layer."""
 
 from __future__ import annotations
 
@@ -9,21 +9,10 @@ from repro.experiments.replication import (
     _chunk_bounds,
     simulate_batch_parallel,
 )
-from repro.experiments.shm import clear_worker_cache, shm_available
 from repro.schemes import NashScheme
-from repro.simengine.fastpath import (
-    predraw_uniform_pool,
-    simulate_profile_fast_batch,
-)
+from repro.simengine.fastpath import simulate_profile_fast_batch
 from repro.simengine.rng import replication_seeds
 from repro.workloads.configs import paper_table1_system
-
-
-@pytest.fixture(autouse=True)
-def _clean_cache():
-    clear_worker_cache()
-    yield
-    clear_worker_cache()
 
 
 @pytest.fixture(scope="module")
@@ -48,76 +37,20 @@ def _assert_results_equal(actual, expected):
         )
 
 
-class TestPredrawnPool:
-    def test_external_pool_is_bit_identical(self, study):
-        system, profile = study
-        seeds = replication_seeds(7, 4)
-        baseline = simulate_profile_fast_batch(
-            system, profile, horizon=50.0, warmup=5.0, seeds=seeds
-        )
-        pool = predraw_uniform_pool(
-            system, profile, horizon=50.0, seeds=seeds
-        )
-        pooled = simulate_profile_fast_batch(
-            system,
-            profile,
-            horizon=50.0,
-            warmup=5.0,
-            seeds=seeds,
-            uniform_pool=pool,
-        )
-        _assert_results_equal(pooled, baseline)
-
-    def test_row_slice_of_pool_matches_seed_slice(self, study):
-        # The chunking property the parallel layer relies on: any
-        # contiguous (seeds, pool-rows) slice reproduces the full
-        # batch's corresponding results exactly.
+class TestSeedSlices:
+    def test_seed_slice_matches_batch_slice(self, study):
+        # The chunking property the parallel layer relies on: a run's
+        # results depend only on its own seed, so any contiguous seed
+        # slice reproduces the full batch's corresponding results.
         system, profile = study
         seeds = replication_seeds(7, 5)
         baseline = simulate_profile_fast_batch(
             system, profile, horizon=50.0, seeds=seeds
         )
-        pool = predraw_uniform_pool(
-            system, profile, horizon=50.0, seeds=seeds
-        )
         sliced = simulate_profile_fast_batch(
-            system,
-            profile,
-            horizon=50.0,
-            seeds=seeds[2:5],
-            uniform_pool=pool[2:5],
+            system, profile, horizon=50.0, seeds=seeds[2:5]
         )
         _assert_results_equal(sliced, baseline[2:5])
-
-    def test_pool_shape_validated(self, study):
-        system, profile = study
-        seeds = replication_seeds(7, 3)
-        pool = predraw_uniform_pool(
-            system, profile, horizon=50.0, seeds=seeds
-        )
-        with pytest.raises(ValueError, match="one row per seed"):
-            simulate_profile_fast_batch(
-                system,
-                profile,
-                horizon=50.0,
-                seeds=seeds,
-                uniform_pool=pool[:2],
-            )
-        with pytest.raises(ValueError, match="too narrow"):
-            simulate_profile_fast_batch(
-                system,
-                profile,
-                horizon=50.0,
-                seeds=seeds,
-                uniform_pool=pool[:, : pool.shape[1] // 2],
-            )
-
-    def test_predraw_rejects_bad_inputs(self, study):
-        system, profile = study
-        with pytest.raises(ValueError, match="horizon"):
-            predraw_uniform_pool(system, profile, horizon=0.0, seeds=[1])
-        with pytest.raises(ValueError, match="seeds"):
-            predraw_uniform_pool(system, profile, horizon=10.0, seeds=[])
 
 
 class TestSimulateBatchParallel:
@@ -137,8 +70,7 @@ class TestSimulateBatchParallel:
         )
         _assert_results_equal(serial, baseline)
 
-    @pytest.mark.skipif(not shm_available(), reason="no shared memory")
-    def test_parallel_shm_bit_identical(self, study):
+    def test_parallel_bit_identical_to_serial(self, study):
         system, profile = study
         seeds = replication_seeds(11, 5)
         baseline = simulate_profile_fast_batch(
@@ -151,11 +83,10 @@ class TestSimulateBatchParallel:
             warmup=5.0,
             seeds=seeds,
             n_workers=2,
-            use_shm=True,
         )
         _assert_results_equal(parallel, baseline)
 
-    def test_parallel_pickle_fallback_bit_identical(self, study):
+    def test_parallel_no_warmup_bit_identical(self, study):
         system, profile = study
         seeds = replication_seeds(11, 4)
         baseline = simulate_profile_fast_batch(
@@ -167,7 +98,6 @@ class TestSimulateBatchParallel:
             horizon=50.0,
             seeds=seeds,
             n_workers=2,
-            use_shm=False,
         )
         _assert_results_equal(parallel, baseline)
 

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.distributed.runtime import run_nash_protocol
 from repro.engine import ComputerFailure, ComputerReopen, OnlineEquilibriumEngine
-from repro.experiments.shm import SharedArrayPlane, shm_available
-from repro.telemetry.analysis import engine_summary, pool_summary
+from repro.telemetry.analysis import engine_summary
 from repro.telemetry.cli import main
 from repro.telemetry.events import TraceEvent
 from repro.telemetry.trace import trace_to_file, use_tracer
@@ -173,61 +171,6 @@ class TestEngineSummaryRollup:
         assert summary["n_epochs"] == 0
         assert summary["degraded_windows"] == []
         assert summary["all_certified"] is True
-
-
-class TestShmPlaneRollup:
-    @staticmethod
-    def _events():
-        return [
-            TraceEvent(
-                0,
-                "pool.shm.publish",
-                {"block": "a", "nbytes": 4096, "shape": [32, 16], "dtype": "<f8"},
-            ),
-            TraceEvent(
-                1,
-                "pool.shm.publish",
-                {"block": "b", "nbytes": 1024, "shape": [128], "dtype": "<f8"},
-            ),
-            TraceEvent(
-                2,
-                "pool.shm.close",
-                {
-                    "blocks": 2,
-                    "bytes_shared": 5120,
-                    "bytes_saved": 20480,
-                    "cache_hits": 5,
-                    "fallbacks": 1,
-                },
-            ),
-        ]
-
-    def test_pool_summary_rollup(self):
-        summary = pool_summary(self._events())
-        assert summary["n_blocks"] == 2
-        assert summary["bytes_published"] == 5120
-        assert summary["n_planes"] == 1
-        assert summary["bytes_shared"] == 5120
-        assert summary["bytes_saved"] == 20480
-        assert summary["cache_hits"] == 5
-        assert summary["fallbacks"] == 1
-
-    def test_empty_trace(self):
-        summary = pool_summary([])
-        assert summary["n_blocks"] == 0
-        assert summary["n_planes"] == 0
-
-    @pytest.mark.skipif(not shm_available(), reason="no shared memory")
-    def test_plane_appears_in_summary(self, tmp_path, capsys):
-        path = tmp_path / "plane.trace.jsonl"
-        with trace_to_file(path) as tracer:
-            with SharedArrayPlane(min_bytes=0, tracer=tracer) as plane:
-                plane.publish(np.arange(64, dtype=np.float64))
-                plane.publish(np.arange(64, dtype=np.float64))  # dedupe hit
-        assert main(["summary", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "shm-plane: 1 planes, 1 blocks" in out
-        assert "1 dedupe hits" in out
 
 
 class TestExitCodes:
