@@ -30,8 +30,10 @@ Exactness.  A class-uniform profile expanded by
 class, so the expanded aggregate loads equal the class-space loads and
 the class-space certificate *is* the user-space certificate (exactly for
 exact grouping, up to the grouping tolerance otherwise).  With every
-class a singleton the solver's arithmetic reduces bit-for-bit to
-:class:`~repro.core.nash.NashSolver`'s — the parity tests pin this.
+class a singleton each class reply is the paper's per-user OPTIMAL
+reply, so this module's sweep driver is the only one:
+:class:`~repro.core.nash.NashSolver` runs it with one class per user,
+and the parity tests pin it against the frozen reference driver.
 
 The sweep *norm* is user-weighted (``sum_k count_k |D_k^{(l)} -
 D_k^{(l-1)}|``) so ``tolerance`` means the same thing it means for the
@@ -45,19 +47,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
 from repro._typing import FloatArray
 from repro.core.best_response import optimal_fractions, optimal_fractions_batch
 from repro.core.model import DistributedSystem
-from repro.core.nash import DEFAULT_MAX_SWEEPS, DEFAULT_TOLERANCE, UpdateOrder
 from repro.core.sampled import (
     SampleCertificate,
-    reply_set,
-    sample_indices,
-    widen_reply_set,
+    sampled_best_reply,
+    sampled_best_reply_batch,
+    sampled_reply_set,
 )
 from repro.core.strategy import StrategyProfile
 from repro.core.waterfill import InfeasibleDemand
@@ -65,17 +66,28 @@ from repro.queueing.mm1 import expected_response_time
 from repro.telemetry.trace import Tracer, current_tracer
 
 __all__ = [
+    "DEFAULT_MAX_SWEEPS",
+    "DEFAULT_TOLERANCE",
     "ClassAggregation",
     "ClassEquilibriumCertificate",
     "ClassNashResult",
     "ClassNashSolver",
+    "Initialization",
+    "UpdateOrder",
     "aggregate_users",
     "class_best_response_regrets",
+    "initial_profile",
 ]
 
 IntArray = np.ndarray
 
-ClassInitialization = Literal["zero", "proportional", "uniform"]
+#: Default acceptance tolerance ``eps`` on the per-sweep norm.
+DEFAULT_TOLERANCE = 1e-6
+#: Default cap on best-reply sweeps before declaring non-convergence.
+DEFAULT_MAX_SWEEPS = 500
+
+Initialization = Literal["zero", "proportional", "uniform"]
+UpdateOrder = Literal["roundrobin", "random", "simultaneous"]
 
 
 @dataclass(frozen=True)
@@ -500,7 +512,6 @@ def _symmetric_class_fill(
 
 def _fused_class_reply_inplace(
     mu: FloatArray,
-    rate: float,
     count: float,
     demand: float,
     own: FloatArray,
@@ -511,17 +522,24 @@ def _fused_class_reply_inplace(
     """One class's equilibrium reply with in-place aggregate bookkeeping.
 
     ``own`` is the class's *total* flow row inside the ``(c, n)`` flow
-    matrix and ``lam`` the running aggregate, so ``mu - lam + own`` are
-    the class's foreign-free rates.  ``demand`` is the class's true
-    member-rate sum (``ClassAggregation.demands[k]``, *not* re-derived as
-    ``rate * count`` — see :func:`aggregate_users`).  A singleton class
-    (where ``demand == rate`` bitwise) takes the plain water-fill path
-    whose arithmetic mirrors
-    :func:`repro.core.nash._fused_best_reply_inplace` statement for
-    statement — bit-identical results, which the exact-grouping parity
-    tests pin.  A multi-member class lands on its symmetric intra-class
-    equilibrium via :func:`_symmetric_class_fill`.  Returns the member's
-    new expected response time.
+    matrix and ``lam`` the running aggregate ``sum_k flows_k``; both are
+    updated in place (``lam += new_own - old_own``, the rank-1 delta that
+    makes a sweep ``O(c n log n)``), so ``mu - lam + own`` are the
+    class's foreign-free rates.  ``avail``/``thr`` are preallocated
+    ``(n,)`` scratch buffers.  ``demand`` is the class's true member-rate
+    sum (``ClassAggregation.demands[k]``, *not* re-derived as
+    ``rate * count`` — see :func:`aggregate_users`).  Returns the
+    member's new expected response time.
+
+    A singleton class is one user, and its reply is the paper's OPTIMAL
+    water-fill: the arithmetic mirrors
+    :func:`repro.core.waterfill.sqrt_waterfill` with the per-call
+    overhead (validation, dataclasses, defensive branches) stripped.
+    Whenever some computer has no headroom left — possible only from an
+    infeasible initialization such as a uniform split on a strongly
+    heterogeneous system — it falls back to the defensive scalar solver,
+    which handles unavailable computers.  A multi-member class lands on
+    its symmetric intra-class equilibrium via :func:`_symmetric_class_fill`.
     """
     np.subtract(mu, lam, out=avail)
     avail += own
@@ -542,6 +560,7 @@ def _fused_class_reply_inplace(
         if demand >= cum_a[-1]:
             raise InfeasibleDemand(demand, float(cum_a[-1]))
 
+        # Threshold for every candidate support prefix, largest valid prefix.
         np.subtract(cum_a, demand, out=thr)
         thr /= cum_r
         valid = roots > thr
@@ -551,6 +570,8 @@ def _fused_class_reply_inplace(
         x = a_sorted[:cut] - t * roots[:cut]
         np.maximum(x, 0.0, out=x)
         x *= demand / x.sum()
+        # D = sum_i s_i / (a_i - x_i) = (1/phi) sum_i x_i / (a_i - x_i);
+        # stability a_i - x_i > 0 holds by construction of the support.
         gap = a_sorted[:cut] - x
         d = float((x / gap).sum()) / demand  # reprolint: allow=R003 hot path; gap > 0 by the water-fill support
 
@@ -580,31 +601,97 @@ def _sampled_class_reply(
 ) -> tuple[FloatArray, float, int]:
     """One class's reply restricted to ``support ∪ k-sample``.
 
-    The class-space twin of :func:`repro.core.sampled.sampled_best_reply`:
-    the class observes its own support for free, spends ``k`` probes on a
-    seeded sample, and lands on its (singleton water-fill or symmetric
-    intra-class) equilibrium over the union — widening deterministically
-    when the sampled capacity cannot carry the demand (cold starts).
-    Returns the new full-length class-total flow row, the member expected
-    response time and the polls spent.
+    A singleton class is one user and takes
+    :func:`repro.core.sampled.sampled_best_reply`; a multi-member class
+    lands on its symmetric intra-class equilibrium over the same reply
+    set (:func:`repro.core.sampled.sampled_reply_set`).  Returns the new
+    full-length class-total flow row, the member expected response time
+    and the polls spent.
     """
-    n = avail.shape[0]
-    indices = sample_indices(seed, sweep, index, n, k)
-    chosen = reply_set(own, indices)
-    polls = int(indices.size)
-    chosen, extra = widen_reply_set(
-        chosen, avail, demand, seed=seed, sweep=sweep, index=index
-    )
-    polls += extra
-    flows = np.zeros(n)
     if count <= 1.0:
-        reply = optimal_fractions(avail[chosen], demand)
-        flows[chosen] = reply.fractions * demand
-        d = float(reply.expected_response_time)
-    else:
-        y, d = _symmetric_class_fill(avail[chosen], demand, count)
-        flows[chosen] = y
+        rep = sampled_best_reply(
+            avail, own, demand, seed=seed, sweep=sweep, index=index, k=k
+        )
+        return rep.flows, rep.expected_response_time, rep.polls
+    chosen, polls = sampled_reply_set(
+        avail, own, demand, seed=seed, sweep=sweep, index=index, k=k
+    )
+    flows = np.zeros(avail.shape[0])
+    flows[chosen], d = _symmetric_class_fill(avail[chosen], demand, count)
     return flows, d, polls
+
+
+def initial_profile(
+    system: DistributedSystem | ClassAggregation,
+    init: Initialization | StrategyProfile | FloatArray,
+) -> StrategyProfile:
+    """Materialize an initialization choice into a concrete profile.
+
+    The rows are the system's users, or the aggregation's classes.  A
+    given profile or raw array is validated as a
+    :class:`~repro.core.strategy.StrategyProfile` (finite entries) and
+    must match that shape; a given profile is returned as is.
+    """
+    mu = system.service_rates
+    rows = (
+        system.n_classes
+        if isinstance(system, ClassAggregation)
+        else system.n_users
+    )
+    if isinstance(init, np.ndarray):
+        init = StrategyProfile(init)
+    if isinstance(init, StrategyProfile):
+        if init.fractions.shape != (rows, mu.size):
+            raise ValueError(
+                f"initial profile must have shape ({rows}, {mu.size}), "
+                f"got {init.fractions.shape}"
+            )
+        return init
+    if init == "zero":
+        return StrategyProfile.zeros(rows, mu.size)
+    if init == "proportional":
+        return StrategyProfile(np.tile(mu / mu.sum(), (rows, 1)))
+    if init == "uniform":
+        return StrategyProfile.uniform(rows, mu.size)
+    raise ValueError(f"unknown initialization {init!r}")
+
+
+class _Events(NamedTuple):
+    """Trace events and counters of one public solver entry point.
+
+    The event emitters keep a literal event name at every ``emit`` site,
+    which is what R010 and the vocabulary tests check.
+    """
+
+    start: Callable[..., None]
+    sweep: Callable[..., None]
+    done: Callable[..., None]
+    sweeps: str
+    replies: str
+    sweep_seconds: str
+
+
+#: The one driver emits the vocabulary its public entry point passes in:
+#: ``solver.*`` for :class:`~repro.core.nash.NashSolver`, ``solver.class_*``
+#: for :class:`ClassNashSolver`.
+_EVENTS = {
+    "user": _Events(
+        lambda tracer, **fields: tracer.emit("solver.start", **fields),
+        lambda tracer, **fields: tracer.emit("solver.sweep", **fields),
+        lambda tracer, **fields: tracer.emit("solver.done", **fields),
+        "solver.sweeps",
+        "solver.best_replies",
+        "solver.sweep_seconds",
+    ),
+    "class": _Events(
+        lambda tracer, **fields: tracer.emit("solver.class_start", **fields),
+        lambda tracer, **fields: tracer.emit("solver.class_sweep", **fields),
+        lambda tracer, **fields: tracer.emit("solver.class_done", **fields),
+        "solver.class_sweeps",
+        "solver.class_replies",
+        "solver.class_sweep_seconds",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -641,7 +728,8 @@ class ClassNashSolver:
 
     The configuration mirrors :class:`~repro.core.nash.NashSolver`
     (tolerance on the user-weighted sweep norm, sweep budget, update
-    order, seed for the ``"random"`` order).
+    order, seed for the ``"random"`` order), which runs through this
+    solver's sweep driver with one class per user.
 
     ``sample_k`` switches to power-of-k sampled class replies
     (:mod:`repro.core.sampled`): each class best-responds over its
@@ -668,34 +756,10 @@ class ClassNashSolver:
         if self.sample_k is not None and self.sample_k < 1:
             raise ValueError("sample_k must be at least 1 (or None)")
 
-    def _initial_fractions(
-        self,
-        aggregation: ClassAggregation,
-        init: ClassInitialization | FloatArray | StrategyProfile,
-    ) -> FloatArray:
-        c, n = aggregation.n_classes, aggregation.n_computers
-        if isinstance(init, StrategyProfile):
-            init = init.fractions
-        if isinstance(init, np.ndarray):
-            f = np.array(init, dtype=float, copy=True)
-            if f.shape != (c, n):
-                raise ValueError(
-                    f"initial class profile must have shape ({c}, {n}), "
-                    f"got {f.shape}"
-                )
-            return f
-        if init == "zero":
-            return np.zeros((c, n))
-        if init == "proportional":
-            return aggregation.proportional_fractions()
-        if init == "uniform":
-            return np.full((c, n), 1.0 / n)
-        raise ValueError(f"unknown initialization {init!r}")
-
     def solve(
         self,
         aggregation: ClassAggregation,
-        init: ClassInitialization | FloatArray | StrategyProfile = "proportional",
+        init: Initialization | FloatArray | StrategyProfile = "proportional",
         *,
         tracer: Tracer | None = None,
     ) -> ClassNashResult:
@@ -706,24 +770,47 @@ class ClassNashSolver:
         the per-sweep ``norm`` fields reconstruct the run's
         ``norm_history`` exactly, like the per-user solver's.
         """
-        fractions = self._initial_fractions(aggregation, init)
+        return self._run(aggregation, init, tracer, _EVENTS["class"])
+
+    def _run(
+        self,
+        aggregation: ClassAggregation,
+        init: Initialization | FloatArray | StrategyProfile,
+        tracer: Tracer | None,
+        events: _Events,
+    ) -> ClassNashResult:
+        """The sweep driver behind both public solvers.
+
+        A sweep replies every class once.  Gauss-Seidel orders reply in
+        turn through the fused in-place kernel, keeping the aggregate
+        ``lam`` current with a rank-1 delta per reply; the
+        ``"simultaneous"`` (Jacobi) order replies every class to the
+        previous sweep's profile, batched into one vectorized kernel call
+        when every class is a singleton.  ``events`` names the trace
+        events and counters.
+        """
+        fractions = initial_profile(aggregation, init).fractions
         mu = aggregation.service_rates
         rates = aggregation.class_rates
         demands = aggregation.demands
         counts_f = aggregation.counts.astype(float)
+        # Per-reply scalars as Python floats, converted once per solve.
+        counts: list[float] = counts_f.tolist()
+        demand_of: list[float] = demands.tolist()
         singleton = bool(np.all(aggregation.counts == 1))
         c, n = aggregation.n_classes, aggregation.n_computers
         rng = np.random.default_rng(self.seed) if self.order == "random" else None
         # Power-of-k mode: k < n restricts every class reply to
-        # support ∪ sample; k >= n runs the exact path unchanged.
+        # support ∪ sample; k >= n runs the exact path unchanged (bit-for-
+        # bit parity) and only the certificate accounting differs.
         sampling = self.sample_k is not None and self.sample_k < n
         sample_k = 0 if self.sample_k is None else self.sample_k
         total_polls = 0
         tracer = tracer if tracer is not None else current_tracer()
         trace = tracer.enabled
         if trace:
-            tracer.emit(
-                "solver.class_start",
+            events.start(
+                tracer,
                 order=self.order,
                 classes=c,
                 users=aggregation.n_users,
@@ -734,8 +821,11 @@ class ClassNashSolver:
                 max_sweeps=self.max_sweeps,
             )
 
-        # D_k^{(0)}: zero without a conserving allocation (NASH_0), the
-        # actual member times otherwise — mirroring the per-user solver.
+        # D_k^{(0)}: zero for classes with no allocation yet (NASH_0), the
+        # actual member times otherwise.  An initial profile that
+        # conserves flow but overloads some computer (e.g. a uniform split
+        # on a heterogeneous system) has no finite expected times; treat it
+        # like NASH_0 for norm purposes — the first sweep repairs it.
         last_times = np.zeros(c)
         if np.allclose(fractions.sum(axis=1), 1.0):
             try:
@@ -744,7 +834,7 @@ class ClassNashSolver:
                 pass
 
         # Hot loop state: (c, n) class *total* flows and the running
-        # aggregate, refreshed once per sweep against round-off drift.
+        # aggregate ``lam = sum_k flows_k``.
         flows = fractions * demands[:, None]
         avail = np.empty(n)
         thr = np.empty(n)
@@ -752,101 +842,87 @@ class ClassNashSolver:
         norms: list[float] = []
         history: list[FloatArray] = []
         converged = False
-        for _sweep in range(self.max_sweeps):
+        for sweep in range(self.max_sweeps):
+            # Refreshing the aggregate once per sweep (O(c n), dwarfed by
+            # the c replies) keeps the incremental round-off from drifting
+            # across sweeps, preserving parity with the ring protocol and
+            # the reference driver.
             lam = flows.sum(axis=0)
             sweep_started = perf_counter() if trace else 0.0
+            regrets: FloatArray | None
             if self.order == "simultaneous":
-                if sampling:
-                    # Jacobi over reply sets: each class responds to the
-                    # frozen aggregate over support ∪ sample.
-                    foreign_free = (mu - lam)[None, :] + flows
-                    times = np.empty(c)
-                    for k in range(c):
-                        flows[k], times[k], p = _sampled_class_reply(
-                            foreign_free[k],
-                            flows[k],
-                            float(demands[k]),
-                            float(counts_f[k]),
-                            seed=self.seed,
-                            sweep=_sweep,
-                            index=k,
-                            k=sample_k,
-                        )
-                        total_polls += p
+                foreign_free = (mu - lam)[None, :] + flows
+                if singleton and sampling:
+                    batch = sampled_best_reply_batch(
+                        foreign_free, flows, rates,
+                        seed=self.seed, sweep=sweep, k=sample_k,
+                    )
+                    flows[:] = batch.flows
+                    times = batch.expected_response_times
+                    total_polls += batch.polls
                 elif singleton:
-                    # All-singleton aggregation: the member availables
-                    # are the per-user ones, so this is bit-identical to
-                    # NashSolver's Jacobi sweep.
-                    available = (mu - lam)[None, :] + flows
-                    replies = optimal_fractions_batch(available, rates)
+                    replies = optimal_fractions_batch(foreign_free, rates)
                     np.multiply(replies.fractions, demands[:, None], out=flows)
                     times = replies.expected_response_times
                 else:
-                    # Jacobi across classes, each landing on its internal
-                    # symmetric equilibrium against the frozen aggregate.
-                    foreign_free = (mu - lam)[None, :] + flows
+                    # Each class lands on its internal symmetric
+                    # equilibrium against the frozen aggregate.
                     times = np.empty(c)
                     for k in range(c):
-                        flows[k], times[k] = _symmetric_class_fill(
-                            foreign_free[k],
-                            float(demands[k]),
-                            float(counts_f[k]),
-                        )
-                norm = float((counts_f * np.abs(times - last_times)).sum())
+                        if sampling:
+                            flows[k], times[k], polls = _sampled_class_reply(
+                                foreign_free[k], flows[k], demand_of[k], counts[k],
+                                seed=self.seed, sweep=sweep, index=k, k=sample_k,
+                            )
+                            total_polls += polls
+                        else:
+                            flows[k], times[k] = _symmetric_class_fill(
+                                foreign_free[k], demand_of[k], counts[k]
+                            )
+                regrets = np.abs(times - last_times)
+                norm = float((counts_f * regrets).sum())
                 last_times = times
             else:
                 schedule = (
-                    rng.permutation(c) if rng is not None else np.arange(c)
+                    rng.permutation(c).tolist() if rng is not None else range(c)
                 )
-                if sampling:
-                    norm = 0.0
-                    for k in schedule:
+                regrets = np.zeros(c) if trace else None
+                norm = 0.0
+                for k in schedule:
+                    if sampling:
                         np.subtract(mu, lam, out=avail)
                         avail += flows[k]
-                        y, d_k, p = _sampled_class_reply(
-                            avail,
-                            flows[k],
-                            float(demands[k]),
-                            float(counts_f[k]),
-                            seed=self.seed,
-                            sweep=_sweep,
-                            index=int(k),
-                            k=sample_k,
+                        y, d_k, polls = _sampled_class_reply(
+                            avail, flows[k], demand_of[k], counts[k],
+                            seed=self.seed, sweep=sweep, index=k, k=sample_k,
                         )
-                        total_polls += p
+                        total_polls += polls
                         lam += y - flows[k]
                         flows[k] = y
-                        norm += counts_f[k] * abs(d_k - last_times[k])
-                        last_times[k] = d_k
-                else:
-                    norm = 0.0
-                    for k in schedule:
+                    else:
                         d_k = _fused_class_reply_inplace(
-                            mu,
-                            float(rates[k]),
-                            float(counts_f[k]),
-                            float(demands[k]),
-                            flows[k],
-                            lam,
-                            avail,
-                            thr,
+                            mu, counts[k], demand_of[k], flows[k], lam, avail, thr
                         )
-                        norm += counts_f[k] * abs(d_k - last_times[k])
-                        last_times[k] = d_k
+                    delta = abs(d_k - last_times[k])
+                    norm += counts[k] * delta
+                    if regrets is not None:
+                        regrets[k] = delta
+                    last_times[k] = d_k
             norms.append(norm)
             if trace:
                 elapsed = perf_counter() - sweep_started
-                tracer.emit(
-                    "solver.class_sweep",
+                events.sweep(
+                    tracer,
                     index=len(norms) - 1,
                     sweep=len(norms),
                     norm=norm,
                     elapsed_s=elapsed,
                     classes=c,
+                    regrets=regrets,
                 )
-                tracer.count("solver.class_sweeps")
-                tracer.count("solver.class_replies", c)
-                tracer.observe("solver.class_sweep_seconds", elapsed)
+                tracer.count(events.sweeps)
+                tracer.count(events.replies, c)
+                tracer.observe(events.sweep_seconds, elapsed)
             if self.record_history:
                 history.append(flows / demands[:, None])
             if norm <= self.tolerance:
@@ -892,8 +968,8 @@ class ClassNashSolver:
                     epsilon=sample.epsilon,
                 )
         if trace:
-            tracer.emit(
-                "solver.class_done",
+            events.done(
+                tracer,
                 converged=converged,
                 iterations=len(norms),
                 final_norm=norms[-1] if norms else 0.0,
@@ -908,4 +984,3 @@ class ClassNashSolver:
             history=tuple(history),
             sample=sample,
         )
-

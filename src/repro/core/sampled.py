@@ -63,6 +63,7 @@ __all__ = [
     "sample_indices",
     "sampled_best_reply",
     "sampled_best_reply_batch",
+    "sampled_reply_set",
     "widen_reply_set",
 ]
 
@@ -147,6 +148,31 @@ def widen_reply_set(
         size *= 2
 
 
+def sampled_reply_set(
+    available: FloatArray,
+    own_flows: FloatArray,
+    demand: float,
+    *,
+    seed: int,
+    sweep: int,
+    index: int,
+    k: int,
+) -> tuple[IndexArray, int]:
+    """One player's reply set ``support ∪ k-sample`` and the polls it cost.
+
+    Draws the player's sample, merges it with the current support and
+    widens the union (:func:`widen_reply_set`) until its positive
+    capacity carries ``demand``.  Every sampled reply — per-user, batched
+    or per-class — builds its reply set here.
+    """
+    indices = sample_indices(seed, sweep, index, available.shape[0], k)
+    chosen, extra = widen_reply_set(
+        reply_set(own_flows, indices), available, demand,
+        seed=seed, sweep=sweep, index=index,
+    )
+    return chosen, int(indices.size) + extra
+
+
 @dataclass(frozen=True)
 class SampledReply:
     """One sampled best reply.
@@ -191,16 +217,11 @@ def sampled_best_reply(
     restricted rate vector, so with ``k >= n`` this *is* the exact best
     response.
     """
-    n = available.shape[0]
-    indices = sample_indices(seed, sweep, index, n, k)
-    chosen = reply_set(own_flows, indices)
-    polls = int(indices.size)
-    chosen, extra = widen_reply_set(
-        chosen, available, job_rate, seed=seed, sweep=sweep, index=index
+    chosen, polls = sampled_reply_set(
+        available, own_flows, job_rate, seed=seed, sweep=sweep, index=index, k=k
     )
-    polls += extra
     reply = optimal_fractions(available[chosen], job_rate)
-    flows = np.zeros(n)
+    flows = np.zeros(available.shape[0])
     flows[chosen] = reply.fractions * job_rate
     return SampledReply(
         flows=flows,
@@ -243,18 +264,14 @@ def sampled_best_reply_batch(
     vectorized kernel call after an O(m·k) masking pass.
     """
     rates = np.asarray(job_rates, dtype=float)
-    m, n = available.shape
     masked = np.zeros_like(available)
     polls = 0
-    for j in range(m):
-        indices = sample_indices(seed, sweep, j, n, k)
-        chosen = reply_set(own_flows[j], indices)
-        polls += int(indices.size)
-        chosen, extra = widen_reply_set(
-            chosen, available[j], float(rates[j]),
-            seed=seed, sweep=sweep, index=j,
+    for j in range(available.shape[0]):
+        chosen, spent = sampled_reply_set(
+            available[j], own_flows[j], float(rates[j]),
+            seed=seed, sweep=sweep, index=j, k=k,
         )
-        polls += extra
+        polls += spent
         masked[j, chosen] = available[j, chosen]
     replies = optimal_fractions_batch(masked, rates)
     flows = np.asarray(replies.fractions, dtype=float) * rates[:, None]

@@ -300,6 +300,22 @@ class TestMultiMemberClasses:
             assert d > 0.0
 
 
+class TestNonFiniteInit:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("solver", ["per-user", "class"])
+    def test_is_a_value_error_not_a_capacity_error(self, solver, value):
+        system = paper_table1_system(n_users=6)
+        agg = aggregate_users(system)
+        with pytest.raises(ValueError, match="finite") as raised:
+            if solver == "class":
+                shape = (agg.n_classes, agg.n_computers)
+                ClassNashSolver().solve(agg, np.full(shape, value))
+            else:
+                shape = (system.n_users, system.n_computers)
+                NashSolver().solve(system, np.full(shape, value))
+        assert not isinstance(raised.value, InfeasibleDemand)
+
+
 class TestSolverConfig:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
@@ -332,6 +348,29 @@ class TestTracing:
         names = [event.name for event in events]
         assert names.count("solver.class_start") == 1
         assert names.count("solver.class_done") == 1
+
+    def test_counters_and_timing_histogram(self):
+        from repro.telemetry.sinks import InMemorySink
+        from repro.telemetry.trace import Tracer
+
+        tracer = Tracer(InMemorySink())
+        agg = aggregate_users(
+            DistributedSystem(
+                service_rates=[20.0, 10.0, 5.0],
+                arrival_rates=[2.0, 1.0, 2.0, 3.0, 1.0, 2.0],
+            )
+        )
+        result = ClassNashSolver().solve(agg, "zero", tracer=tracer)
+        snapshot = tracer.registry.snapshot()
+        assert snapshot["counters"]["solver.class_sweeps"] == result.iterations
+        assert (
+            snapshot["counters"]["solver.class_replies"]
+            == agg.n_classes * result.iterations
+        )
+        assert (
+            snapshot["histograms"]["solver.class_sweep_seconds"]["count"]
+            == result.iterations
+        )
 
     def test_class_summary_rollup(self, tmp_path):
         from repro.telemetry.analysis import class_summary

@@ -42,6 +42,19 @@ class TestInitialProfile:
             initial_profile(two_by_two, "magic")
 
 
+class TestPerUserSweeps:
+    def test_equal_rate_users_are_never_grouped(self):
+        # Table-1 users all share one job rate.  Gauss-Seidel from NASH_0
+        # lets user 0 see an idle system and user 15 a loaded one, so
+        # their rows differ after one sweep; a symmetric class fill of
+        # the 16 users would give them equal rows.
+        system = paper_table1_system(n_users=16)
+        assert np.unique(system.arrival_rates).size == 1
+        result = NashSolver(max_sweeps=1).solve(system, "zero")
+        rows = result.profile.fractions
+        assert not np.array_equal(rows[0], rows[15])
+
+
 class TestSolverConfig:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):

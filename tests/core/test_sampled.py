@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.classes import ClassNashSolver, aggregate_users
-from repro.core.nash import NashSolver
+from repro.core.nash import NashSolver, initial_profile
 from repro.core.sampled import (
     SampleCertificate,
     reply_set,
@@ -130,6 +130,29 @@ class TestSampledReply:
                 k=3,
             )
             np.testing.assert_allclose(batch.flows[j], scalar.flows, atol=1e-12)
+
+
+class TestSampledJacobiKernel:
+    def test_one_sweep_is_the_batch_reply_to_the_init(self):
+        # Per-user sampled Jacobi runs the vectorized batch kernel, not a
+        # loop of scalar replies (the two agree only to round-off).
+        system = paper_table1_system(utilization=0.6, n_users=6)
+        solver = NashSolver(
+            order="simultaneous", max_sweeps=1, sample_k=2, seed=4
+        )
+        result = solver.solve(system, "proportional")
+
+        phi = system.arrival_rates
+        flows = initial_profile(system, "proportional").fractions * phi[:, None]
+        available = (system.service_rates - flows.sum(axis=0))[None, :] + flows
+        batch = sampled_best_reply_batch(
+            available, flows, phi, seed=4, sweep=0, k=2
+        )
+        np.testing.assert_array_equal(
+            result.profile.fractions, batch.flows / phi[:, None]
+        )
+        assert result.sample is not None
+        assert result.sample.polls == batch.polls
 
 
 class TestFullInformationParity:
