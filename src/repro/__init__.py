@@ -62,7 +62,6 @@ from repro.core import (
     degraded_equilibrium,
     is_nash_equilibrium,
     optimal_fractions,
-    run_dynamic_balancing,
     verify_equilibrium,
 )
 from repro.queueing import (
@@ -96,6 +95,7 @@ from repro.engine import (
     SetUtilization,
     UserArrival,
     UserDeparture,
+    run_dynamic_balancing,
 )
 from repro.game import LoadBalancingGame
 from repro.workloads import (

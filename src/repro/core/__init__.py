@@ -29,11 +29,6 @@ from repro.core.degradation import (
     project_profile,
     surviving_subsystem,
 )
-from repro.core.dynamics import (
-    DynamicsResult,
-    EpisodeResult,
-    run_dynamic_balancing,
-)
 from repro.core.equilibrium import (
     EquilibriumCertificate,
     best_response_regrets,
@@ -91,9 +86,6 @@ __all__ = [
     "embed_profile",
     "project_profile",
     "surviving_subsystem",
-    "DynamicsResult",
-    "EpisodeResult",
-    "run_dynamic_balancing",
     "EquilibriumCertificate",
     "best_response_regrets",
     "is_nash_equilibrium",

@@ -43,7 +43,6 @@ from repro.core.nash import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOLERANCE,
     Initialization,
-    NashResult,
 )
 from repro.core.strategy import StrategyProfile
 from repro.distributed.checkpoint import CheckpointStore
@@ -53,9 +52,8 @@ from repro.distributed.failure_detector import (
 )
 from repro.distributed.faults import DedupingAgent, LossyMessageBus
 from repro.distributed.messages import Message, MessageKind
-from repro.distributed.node import ComputerBoard
-from repro.distributed.runtime import ProtocolOutcome, seed_initial_state
-from repro.telemetry.trace import Tracer, current_tracer
+from repro.distributed.runtime import ProtocolOutcome, _Ring, _reset_baselines
+from repro.telemetry.trace import Tracer
 
 __all__ = [
     "FaultKind",
@@ -340,25 +338,6 @@ class ResilientOutcome(ProtocolOutcome):
         return self.result.profile.fractions[:, mask]
 
 
-def _refresh_baselines(system, board, agents) -> None:
-    """Reset every agent's ``D_j`` baseline to the projected-profile times.
-
-    Offline computers carry zero flow after projection, so the full-width
-    formula is exact for the degraded system.  If the projection
-    transiently overloads a live computer the refresh is skipped — the
-    next best replies repair the profile and the norm simply spikes.
-    """
-    fractions = board.flows / np.asarray(
-        [agent.job_rate for agent in agents]
-    )[:, None]
-    try:
-        times = system.user_response_times(fractions)
-    except ValueError:
-        return
-    for agent, time in zip(agents, times):
-        agent._previous_time = float(time)
-
-
 def run_nash_protocol_resilient(
     system: DistributedSystem,
     schedule: FaultSchedule | None = None,
@@ -386,6 +365,10 @@ HeartbeatFailureDetector` suspects silent ones, stalls are healed by
     backoff, crashed agents are restored from periodic checkpoints when
     they restart, and computer failures degrade the game onto the
     surviving machines (strategies re-projected, stability re-checked).
+    The ring itself — agent construction, the delivery pass, the
+    retransmission sweep and the result — is the pump the other three
+    drivers share (:mod:`repro.distributed.runtime`); the supervisor
+    owns only the step loop around it.
 
     Raises
     ------
@@ -397,31 +380,18 @@ HeartbeatFailureDetector` suspects silent ones, stalls are healed by
         exceeded.
     """
     schedule = schedule if schedule is not None else FaultSchedule(())
-    tracer = tracer if tracer is not None else current_tracer()
-    trace = tracer.enabled
     m = system.n_users
-    board = ComputerBoard(system.service_rates, m)
     bus = CrashyMessageBus(m, drop=drop, duplicate=duplicate, seed=fault_seed)
-    agents = [
-        ResilientAgent(
-            rank=j,
-            job_rate=float(system.arrival_rates[j]),
-            board=board,
-            bus=bus,
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-            tracer=tracer,
-        )
-        for j in range(m)
-    ]
-
-    seed_initial_state(system, board, agents, init)
-    if trace:
-        tracer.emit(
-            "protocol.start",
-            driver="resilient",
-            users=m,
-            computers=system.n_computers,
+    ring = _Ring(
+        system,
+        bus,
+        ResilientAgent,
+        driver="resilient",
+        init=init,
+        tolerance=tolerance,
+        max_sweeps=max_sweeps,
+        tracer=tracer,
+        start=dict(
             tolerance=tolerance,
             max_sweeps=max_sweeps,
             drop=drop,
@@ -429,26 +399,32 @@ HeartbeatFailureDetector` suspects silent ones, stalls are healed by
             checkpoint_interval=checkpoint_interval,
             suspect_after=suspect_after,
             scheduled_events=schedule.n_events,
-        )
-
-    # Supervisor-side write-ahead outbox log (sender-based message
-    # logging): survives agent crashes, feeds retransmission.
-    last_sent: dict[int, Message] = {}
-    bus.add_outbox_hook(lambda message: last_sent.__setitem__(message.sender, message))
+        ),
+    )
+    board, agents, tracer = ring.board, ring.agents, ring.tracer
+    trace = tracer.enabled
+    # The ring's outbox log doubles as the supervisor's write-ahead log
+    # (sender-based message logging): it survives agent crashes.
+    last_sent = ring.last_sent
 
     store = CheckpointStore()
     detector = HeartbeatFailureDetector(suspect_after)
     backoff = ExponentialBackoff(backoff_base, backoff_cap)
     generation = 0
-    for j, agent in enumerate(agents):
-        store.capture(agent, board, step=0, generation=generation)
-        detector.beat(j, 0)
-        if trace:
-            tracer.emit("protocol.checkpoint", step=0, rank=j)
-            tracer.count("protocol.checkpoint_captures")
-
     alive = [True] * m
     finished_at_crash = [False] * m
+
+    def checkpoint(at: int) -> None:
+        for j in range(m):
+            if alive[j]:
+                store.capture(agents[j], board, step=at, generation=generation)
+                if trace:
+                    tracer.emit("protocol.checkpoint", step=at, rank=j)
+                    tracer.count("protocol.checkpoint_captures")
+
+    for j in range(m):
+        detector.beat(j, 0)
+    checkpoint(0)
 
     def finished_view(rank: int) -> bool:
         return agents[rank].finished if alive[rank] else finished_at_crash[rank]
@@ -459,7 +435,6 @@ HeartbeatFailureDetector` suspects silent ones, stalls are healed by
     ring_reopens = 0
     rekick_pending = False
     events_applied = 0
-    messages = retransmissions = 0
     stall = 0
     step = 0
     known_suspects: set[int] = set()
@@ -562,7 +537,13 @@ HeartbeatFailureDetector` suspects silent ones, stalls are healed by
                 )
                 for j in range(m):
                     board.publish(j, projected[j])
-                _refresh_baselines(system, board, agents)
+                # Offline computers carry zero flow after projection, so
+                # the full-width baselines are exact for the degraded
+                # system; a transient overload skips the refresh and the
+                # next best replies repair the profile (the norm spikes).
+                _reset_baselines(
+                    system, agents, board.flows / system.arrival_rates[:, None]
+                )
                 note_topology_change()
             elif event.kind is FaultKind.COMPUTER_UP:
                 board.set_computer_online(computer, True)
@@ -574,23 +555,7 @@ HeartbeatFailureDetector` suspects silent ones, stalls are healed by
             rekick_pending = False
 
         # -- 2. message delivery --------------------------------------
-        delivered = 0
-        for rank in bus.pending_ranks():
-            message = bus.recv(rank)
-            if trace:
-                kind = message.kind.name.lower()
-                tracer.emit(
-                    "protocol.deliver",
-                    kind=kind,
-                    sender=message.sender,
-                    receiver=message.receiver,
-                    sweep=message.sweep,
-                    norm=message.norm,
-                )
-                tracer.count(f"protocol.messages.{kind}")
-            agents[rank].handle(message)
-            delivered += 1
-            messages += 1
+        delivered = ring.deliver_pending()
 
         # -- 3. heartbeats and failure detection ----------------------
         for j in range(m):
@@ -605,14 +570,7 @@ HeartbeatFailureDetector` suspects silent ones, stalls are healed by
 
         # -- 4. periodic checkpoints ----------------------------------
         if checkpoint_interval and step % checkpoint_interval == 0:
-            for j in range(m):
-                if alive[j]:
-                    store.capture(
-                        agents[j], board, step=step, generation=generation
-                    )
-                    if trace:
-                        tracer.emit("protocol.checkpoint", step=step, rank=j)
-                        tracer.count("protocol.checkpoint_captures")
+            checkpoint(step)
 
         # -- 5. stall recovery ----------------------------------------
         if delivered:
@@ -628,27 +586,7 @@ HeartbeatFailureDetector` suspects silent ones, stalls are healed by
             continue
         stall = 0
         backoff.advance()
-        progressed = 0
-        blocked: list[int] = []
-        for _sender, message in sorted(last_sent.items()):
-            receiver = message.receiver
-            if finished_view(receiver):
-                continue
-            if detector.is_suspected(receiver):
-                blocked.append(receiver)
-                continue
-            bus.resend(message)
-            retransmissions += 1
-            progressed += 1
-            if trace:
-                tracer.emit(
-                    "protocol.retransmit",
-                    kind=message.kind.name.lower(),
-                    sender=message.sender,
-                    receiver=message.receiver,
-                    sweep=message.sweep,
-                )
-                tracer.count("protocol.retransmissions")
+        resent, blocked = ring.retransmit(finished_view, detector.is_suspected)
         # Every circulation needs every agent: a suspected, unfinished
         # rank with no restart on the schedule is a dead end no amount
         # of retransmission can route around.
@@ -660,56 +598,31 @@ HeartbeatFailureDetector` suspects silent ones, stalls are healed by
                 f"agents {dead_ends} crashed with no scheduled restart; "
                 "the ring cannot recover"
             )
-        if not progressed and not blocked:
+        if not resent and not blocked:
             raise RuntimeError(
                 "protocol deadlocked with nothing to retransmit"
             )
 
     online = board.online_mask
-    fractions = board.flows / system.arrival_rates[:, None]
-    profile = StrategyProfile(fractions)
-    norms = np.asarray(agents[0].norm_history, dtype=float)
-    converged = bool(norms.size and norms[-1] <= tolerance)
-    result = NashResult(
-        profile=profile,
-        converged=converged,
-        iterations=int(norms.size),
-        norm_history=norms,
-        user_times=system.user_response_times(profile.fractions),
-    )
-    if trace:
-        tracer.emit(
-            "protocol.done",
-            driver="resilient",
-            converged=converged,
-            sweeps=int(norms.size),
-            messages_sent=messages,
-            retransmissions=retransmissions,
-            crashes=crashes,
-            restarts=restarts,
-            suspicions=detector.suspicions,
-            messages_lost_to_crash=bus.lost_to_crash,
-            ring_reopens=ring_reopens,
-            steps=step,
-            degraded=bool(not online.all()),
-        )
-    return ResilientOutcome(
-        result=result,
-        messages_sent=messages,
-        transcript=bus.transcript,
-        retransmissions=retransmissions,
+    degraded = bool(not online.all())
+    recovery = dict(
         crashes=crashes,
         restarts=restarts,
-        checkpoint_restores=store.restores,
-        checkpoint_captures=store.captures,
         suspicions=detector.suspicions,
         messages_lost_to_crash=bus.lost_to_crash,
+        ring_reopens=ring_reopens,
+        steps=step,
+        degraded=degraded,
+    )
+    return ring.finish(
+        ResilientOutcome,
+        done=recovery,
+        **recovery,
+        checkpoint_restores=store.restores,
+        checkpoint_captures=store.captures,
         computers_failed=tuple(computers_failed),
         computers_restored=tuple(computers_restored),
         online_mask=tuple(bool(b) for b in online),
-        degraded=bool(not online.all()),
-        ring_reopens=ring_reopens,
-        steps=step,
         events_applied=events_applied,
         events_unapplied=schedule.n_events - events_applied,
     )

@@ -30,14 +30,13 @@ from repro.core.nash import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOLERANCE,
     Initialization,
-    NashResult,
 )
 from repro.core.strategy import StrategyProfile
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import MessageBus
-from repro.distributed.node import ComputerBoard, UserAgent
-from repro.distributed.runtime import ProtocolOutcome, seed_initial_state
-from repro.telemetry.trace import Tracer, current_tracer
+from repro.distributed.node import UserAgent
+from repro.distributed.runtime import ProtocolOutcome, _Ring
+from repro.telemetry.trace import Tracer
 
 __all__ = ["LossyMessageBus", "DedupingAgent", "run_nash_protocol_lossy"]
 
@@ -131,126 +130,35 @@ def run_nash_protocol_lossy(
 ) -> ProtocolOutcome:
     """The NASH ring protocol over a faulty network.
 
-    Mirrors :func:`repro.distributed.runtime.run_nash_protocol` but sends
-    every message over a :class:`LossyMessageBus`; when the ring stalls
-    (every mailbox empty, protocol unfinished) the runtime retransmits
-    the last message each unfinished agent sent — at-least-once delivery,
-    made safe by :class:`DedupingAgent`.  ``tracer`` additionally records
-    every delivery and retransmission (see docs/OBSERVABILITY.md).
+    Runs the shared ring pump of
+    :func:`repro.distributed.runtime.run_nash_protocol` with
+    :class:`DedupingAgent`\\ s over a :class:`LossyMessageBus`; when the
+    ring stalls (every mailbox empty, protocol unfinished) the pump
+    retransmits the last message each unfinished agent sent —
+    at-least-once delivery, made safe by :class:`DedupingAgent`.
+    ``tracer`` additionally records every delivery and retransmission
+    (see docs/OBSERVABILITY.md).
     """
-    tracer = tracer if tracer is not None else current_tracer()
-    trace = tracer.enabled
-    m = system.n_users
-    board = ComputerBoard(system.service_rates, m)
     bus = LossyMessageBus(
-        m, drop=drop, duplicate=duplicate, seed=fault_seed
+        system.n_users, drop=drop, duplicate=duplicate, seed=fault_seed
     )
-    agents = [
-        DedupingAgent(
-            rank=j,
-            job_rate=float(system.arrival_rates[j]),
-            board=board,
-            bus=bus,
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-            tracer=tracer,
-        )
-        for j in range(m)
-    ]
-
-    seed_initial_state(system, board, agents, init)
-    if trace:
-        tracer.emit(
-            "protocol.start",
-            driver="lossy",
-            users=m,
-            computers=system.n_computers,
+    ring = _Ring(
+        system,
+        bus,
+        DedupingAgent,
+        driver="lossy",
+        init=init,
+        tolerance=tolerance,
+        max_sweeps=max_sweeps,
+        tracer=tracer,
+        start=dict(
             tolerance=tolerance,
             max_sweeps=max_sweeps,
             drop=drop,
             duplicate=duplicate,
-        )
-
-    # Track each agent's most recent outbound message for retransmission.
-    # The outbox hook fires before the lossy transport rolls the dice, so
-    # dropped messages are tracked too — the sender believes it sent.
-    last_sent: dict[int, Message] = {}
-    bus.add_outbox_hook(lambda message: last_sent.__setitem__(message.sender, message))
-
-    agents[0].start()
-    messages = 0
-    retransmissions = 0
-    while True:
-        pending = bus.pending_ranks()
-        if pending:
-            for rank in pending:
-                message = bus.recv(rank)
-                if trace:
-                    kind = message.kind.name.lower()
-                    tracer.emit(
-                        "protocol.deliver",
-                        kind=kind,
-                        sender=message.sender,
-                        receiver=message.receiver,
-                        sweep=message.sweep,
-                        norm=message.norm,
-                    )
-                    tracer.count(f"protocol.messages.{kind}")
-                agents[rank].handle(message)
-                messages += 1
-            continue
-        if all(agent.finished for agent in agents):
-            break
-        # Ring stalled: a message was dropped. Retransmit the most recent
-        # outbound message of every agent whose successor still needs it.
-        # (A finished receiver already has everything it will ever act
-        # on — retransmitting TERMINATE to it would only burn messages.)
-        if retransmissions >= max_retransmissions:
-            raise RuntimeError("retransmission budget exhausted")
-        progressed = False
-        for sender, message in sorted(last_sent.items()):
-            if not agents[message.receiver].finished:
-                bus.resend(message)
-                retransmissions += 1
-                progressed = True
-                if trace:
-                    tracer.emit(
-                        "protocol.retransmit",
-                        kind=message.kind.name.lower(),
-                        sender=message.sender,
-                        receiver=message.receiver,
-                        sweep=message.sweep,
-                    )
-                    tracer.count("protocol.retransmissions")
-        if not progressed:  # pragma: no cover - defensive
-            raise RuntimeError("protocol deadlocked with nothing to retransmit")
-
-    fractions = board.flows / system.arrival_rates[:, None]
-    profile = StrategyProfile(fractions)
-    norms = np.asarray(agents[0].norm_history, dtype=float)
-    converged = bool(norms.size and norms[-1] <= tolerance)
-    result = NashResult(
-        profile=profile,
-        converged=converged,
-        iterations=int(norms.size),
-        norm_history=norms,
-        user_times=system.user_response_times(profile.fractions),
+        ),
     )
-    if trace:
-        tracer.emit(
-            "protocol.done",
-            driver="lossy",
-            converged=converged,
-            sweeps=int(norms.size),
-            messages_sent=messages,
-            retransmissions=retransmissions,
-            dropped=bus.dropped,
-            duplicated=bus.duplicated,
-        )
-    outcome = ProtocolOutcome(
-        result=result,
-        messages_sent=messages,
-        transcript=bus.transcript,
-        retransmissions=retransmissions,
+    ring.pump(max_retransmissions)
+    return ring.finish(
+        done=dict(dropped=bus.dropped, duplicated=bus.duplicated)
     )
-    return outcome

@@ -1,4 +1,4 @@
-"""Driver for the distributed NASH protocol.
+"""Driver for the distributed NASH protocol, and the ring pump it shares.
 
 Builds the agents, the shared computer board and the message bus, seeds
 the chosen initialization, and pumps messages until the TERMINATE message
@@ -8,11 +8,16 @@ because the token ring serializes the updates in user order, the two
 drivers compute the same iterates, sweep counts and norms up to
 floating-point round-off (the board and the model sum the flows in
 different orders), a cross-check the test suite enforces.
+
+All four protocol drivers run on the ring pump defined here,
+:class:`_Ring`; the resilient supervisor (:mod:`repro.distributed.chaos`)
+drives it one delivery pass at a time between its own steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -59,6 +64,20 @@ class ProtocolOutcome:
     retransmissions: int = 0
 
 
+def _reset_baselines(
+    system: DistributedSystem, agents: list[UserAgent], fractions: np.ndarray
+) -> None:
+    """Set every agent's ``D_j`` baseline to its expected response time
+    under ``fractions``; left untouched when the profile overloads a
+    computer and so has no finite expected times."""
+    try:
+        times = system.user_response_times(fractions)
+    except ValueError:
+        return
+    for agent, time in zip(agents, times):
+        agent._previous_time = float(time)
+
+
 def seed_initial_state(
     system: DistributedSystem,
     board: ComputerBoard,
@@ -81,16 +100,214 @@ def seed_initial_state(
     flows0 = profile0.fractions * system.arrival_rates[:, None]
     for j in range(len(agents)):
         board.publish(j, flows0[j])
-    times0 = np.zeros(len(agents))
+    for agent in agents:
+        agent._previous_time = 0.0
     if bool(np.allclose(profile0.fractions.sum(axis=1), 1.0)):
-        try:
-            times0 = system.user_response_times(profile0.fractions)
-        except ValueError:
-            # Conserving but unstable (e.g. a uniform split overloading a
-            # slow computer): no finite expected times — NASH_0 baselines.
-            pass
-    for j, agent in enumerate(agents):
-        agent._previous_time = float(times0[j])
+        # A conserving start may still be unstable (e.g. a uniform split
+        # overloading a slow computer): then the NASH_0 zeros stay.
+        _reset_baselines(system, agents, profile0.fractions)
+
+
+class _Ring:
+    """The ring pump: one protocol run's board, agents and bus.
+
+    Construction builds one ``agent_cls`` per user, seeds the initial
+    state, emits ``protocol.start`` and opens the outbox log
+    (``last_sent``: each agent's most recent first-class send, the
+    message a retransmission re-sends).  :meth:`pump` runs the ring to
+    termination; the resilient supervisor instead interleaves
+    :meth:`deliver_pending` and :meth:`retransmit` with its own steps.
+    """
+
+    def __init__(
+        self,
+        system: DistributedSystem,
+        bus: MessageBus,
+        agent_cls: type[UserAgent],
+        *,
+        driver: str,
+        init: Initialization | StrategyProfile,
+        tolerance: float,
+        max_sweeps: int,
+        tracer: Tracer | None,
+        start: dict[str, Any],
+        **agent_kwargs: Any,
+    ):
+        m = system.n_users
+        tracer = tracer if tracer is not None else current_tracer()
+        self.system, self.bus, self.driver = system, bus, driver
+        self.tolerance, self.tracer = tolerance, tracer
+        self.messages = self.retransmissions = 0
+        self.board = ComputerBoard(system.service_rates, m)
+        self.agents = [
+            agent_cls(
+                rank=j,
+                job_rate=float(system.arrival_rates[j]),
+                board=self.board,
+                bus=bus,
+                tolerance=tolerance,
+                max_sweeps=max_sweeps,
+                tracer=tracer,
+                **agent_kwargs,
+            )
+            for j in range(m)
+        ]
+        seed_initial_state(system, self.board, self.agents, init)
+        if tracer.enabled:
+            tracer.emit(
+                "protocol.start",
+                driver=driver,
+                users=m,
+                computers=system.n_computers,
+                **start,
+            )
+        # The hook fires before a faulty transport rolls the dice, so
+        # dropped messages are logged too — the sender believes it sent.
+        self.last_sent: dict[int, Message] = {}
+        bus.add_outbox_hook(
+            lambda message: self.last_sent.__setitem__(message.sender, message)
+        )
+
+    def deliver_pending(self) -> int:
+        """Deliver every queued message once; returns how many.
+
+        The token ring is strictly sequential, so draining pending ranks
+        in order is a faithful (and deterministic) schedule.
+        """
+        tracer = self.tracer
+        pending = self.bus.pending_ranks()
+        for rank in pending:
+            message = self.bus.recv(rank)
+            if tracer.enabled:
+                kind = message.kind.name.lower()
+                tracer.emit(
+                    "protocol.deliver",
+                    kind=kind,
+                    sender=message.sender,
+                    receiver=message.receiver,
+                    sweep=message.sweep,
+                    norm=message.norm,
+                )
+                tracer.count(f"protocol.messages.{kind}")
+            self.agents[rank].handle(message)
+            self.messages += 1
+        return len(pending)
+
+    def retransmit(
+        self,
+        skip: Callable[[int], bool],
+        block: Callable[[int], bool] = lambda rank: False,
+    ) -> tuple[int, list[int]]:
+        """Re-send each agent's last outbound message, in sender order,
+        unless its receiver is ``skip``-ped or ``block``-ed.
+
+        Returns the number re-sent and the blocked receivers.
+        """
+        tracer = self.tracer
+        resent = 0
+        blocked: list[int] = []
+        for _sender, message in sorted(self.last_sent.items()):
+            if skip(message.receiver):
+                continue
+            if block(message.receiver):
+                blocked.append(message.receiver)
+                continue
+            self.bus.resend(message)
+            self.retransmissions += 1
+            resent += 1
+            if tracer.enabled:
+                tracer.emit(
+                    "protocol.retransmit",
+                    kind=message.kind.name.lower(),
+                    sender=message.sender,
+                    receiver=message.receiver,
+                    sweep=message.sweep,
+                )
+                tracer.count("protocol.retransmissions")
+        return resent, blocked
+
+    def pump(self, max_retransmissions: int | None = None) -> None:
+        """Start the ring and deliver until every agent has finished.
+
+        A stall (every mailbox empty, protocol unfinished) means a
+        message was lost: within the retransmission budget the pump
+        re-sends the last message of every agent whose successor still
+        needs it (a finished receiver already has everything it will act
+        on).  Without a budget (the reliable bus) a stall is a bug.
+        """
+        agents = self.agents
+        agents[0].start()
+        while True:
+            if self.deliver_pending():
+                continue
+            if all(agent.finished for agent in agents):
+                return
+            if max_retransmissions is None:  # pragma: no cover
+                raise RuntimeError(
+                    "protocol stalled before termination circulated"
+                )
+            if self.retransmissions >= max_retransmissions:
+                raise RuntimeError("retransmission budget exhausted")
+            resent, _ = self.retransmit(lambda rank: agents[rank].finished)
+            if not resent:  # pragma: no cover - defensive
+                raise RuntimeError(
+                    "protocol deadlocked with nothing to retransmit"
+                )
+
+    def result(self, **overrides: Any) -> NashResult:
+        """The board's profile as a :class:`NashResult`; ``user_times``
+        raises ``ValueError`` on an overloaded profile unless overridden."""
+        profile = StrategyProfile(
+            self.board.flows / self.system.arrival_rates[:, None]
+        )
+        norms = np.asarray(self.agents[0].norm_history, dtype=float)
+        fields = dict(
+            profile=profile,
+            converged=bool(norms.size and norms[-1] <= self.tolerance),
+            iterations=int(norms.size),
+            norm_history=norms,
+        )
+        fields.update(overrides)
+        if "user_times" not in fields:
+            fields["user_times"] = self.system.user_response_times(
+                profile.fractions
+            )
+        return NashResult(**fields)
+
+    def done(
+        self, result: NashResult, messages_sent: int | None = None, **fields: Any
+    ) -> None:
+        """Emit the ``protocol.done`` summary of ``result``."""
+        if self.tracer.enabled:
+            self.tracer.emit(
+                "protocol.done",
+                driver=self.driver,
+                converged=result.converged,
+                sweeps=result.iterations,
+                messages_sent=(
+                    self.messages if messages_sent is None else messages_sent
+                ),
+                retransmissions=self.retransmissions,
+                **fields,
+            )
+
+    def finish(
+        self,
+        outcome: type[ProtocolOutcome] = ProtocolOutcome,
+        done: dict[str, Any] | None = None,
+        **fields: Any,
+    ) -> ProtocolOutcome:
+        """Package the result, emit ``protocol.done`` with the ``done``
+        fields, and return the ``outcome`` carrying ``fields``."""
+        result = self.result()
+        self.done(result, **(done or {}))
+        return outcome(
+            result=result,
+            messages_sent=self.messages,
+            transcript=self.bus.transcript,
+            retransmissions=self.retransmissions,
+            **fields,
+        )
 
 
 def run_nash_protocol(
@@ -111,84 +328,16 @@ def run_nash_protocol(
     ``protocol.done`` summary — enough to reconstruct the convergence
     history and the full message accounting from the trace alone.
     """
-    tracer = tracer if tracer is not None else current_tracer()
-    trace = tracer.enabled
-    m = system.n_users
-    board = ComputerBoard(system.service_rates, m)
-    bus = MessageBus(m, record_transcript=record_transcript)
-    agents = [
-        UserAgent(
-            rank=j,
-            job_rate=float(system.arrival_rates[j]),
-            board=board,
-            bus=bus,
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-            tracer=tracer,
-        )
-        for j in range(m)
-    ]
-
-    seed_initial_state(system, board, agents, init)
-    if trace:
-        tracer.emit(
-            "protocol.start",
-            driver="reliable",
-            users=m,
-            computers=system.n_computers,
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-        )
-
-    agents[0].start()
-    messages = 0
-    # The token ring is strictly sequential, so draining pending ranks in
-    # order is a faithful (and deterministic) schedule.
-    while True:
-        pending = bus.pending_ranks()
-        if not pending:
-            break
-        for rank in pending:
-            message = bus.recv(rank)
-            if trace:
-                kind = message.kind.name.lower()
-                tracer.emit(
-                    "protocol.deliver",
-                    kind=kind,
-                    sender=message.sender,
-                    receiver=message.receiver,
-                    sweep=message.sweep,
-                    norm=message.norm,
-                )
-                tracer.count(f"protocol.messages.{kind}")
-            agents[rank].handle(message)
-            messages += 1
-
-    if not all(agent.finished for agent in agents):  # pragma: no cover
-        raise RuntimeError("protocol stalled before termination circulated")
-
-    fractions = board.flows / system.arrival_rates[:, None]
-    profile = StrategyProfile(fractions)
-    norms = np.asarray(agents[0].norm_history, dtype=float)
-    converged = bool(norms.size and norms[-1] <= tolerance)
-    result = NashResult(
-        profile=profile,
-        converged=converged,
-        iterations=int(norms.size),
-        norm_history=norms,
-        user_times=system.user_response_times(profile.fractions),
+    ring = _Ring(
+        system,
+        MessageBus(system.n_users, record_transcript=record_transcript),
+        UserAgent,
+        driver="reliable",
+        init=init,
+        tolerance=tolerance,
+        max_sweeps=max_sweeps,
+        tracer=tracer,
+        start=dict(tolerance=tolerance, max_sweeps=max_sweeps),
     )
-    if trace:
-        tracer.emit(
-            "protocol.done",
-            driver="reliable",
-            converged=converged,
-            sweeps=int(norms.size),
-            messages_sent=messages,
-            retransmissions=0,
-        )
-    return ProtocolOutcome(
-        result=result,
-        messages_sent=messages,
-        transcript=bus.transcript,
-    )
+    ring.pump()
+    return ring.finish()

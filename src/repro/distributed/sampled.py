@@ -28,7 +28,8 @@ when ``k >= n``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
@@ -50,9 +51,9 @@ from repro.core.sampled import (
 from repro.core.strategy import StrategyProfile
 from repro.distributed.messages import Message
 from repro.distributed.network import MessageBus
-from repro.distributed.node import ComputerBoard, UserAgent
-from repro.distributed.runtime import seed_initial_state
-from repro.telemetry.trace import Tracer, current_tracer
+from repro.distributed.node import UserAgent
+from repro.distributed.runtime import _Ring
+from repro.telemetry.trace import Tracer
 
 __all__ = [
     "SampledProtocolOutcome",
@@ -71,28 +72,8 @@ class SampledUserAgent(UserAgent):
     rate, e.g. on a cold start from the all-zero profile.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        job_rate: float,
-        board: ComputerBoard,
-        bus: MessageBus,
-        *,
-        tolerance: float,
-        max_sweeps: int,
-        sample_k: int,
-        seed: int = 0,
-        tracer: Tracer | None = None,
-    ):
-        super().__init__(
-            rank,
-            job_rate,
-            board,
-            bus,
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-            tracer=tracer,
-        )
+    def __init__(self, *args: Any, sample_k: int, seed: int = 0, **kwargs: Any):
+        super().__init__(*args, **kwargs)
         if sample_k < 1:
             raise ValueError("sample_k must be at least 1")
         self.sample_k = int(sample_k)
@@ -188,9 +169,11 @@ def run_sampled_nash_protocol(
 ) -> SampledProtocolOutcome:
     """Execute the ring protocol under power-of-k sampled information.
 
-    Mirrors :func:`repro.distributed.runtime.run_nash_protocol` —
+    Runs the shared ring pump of
+    :func:`repro.distributed.runtime.run_nash_protocol` with
+    :class:`SampledUserAgent`\\ s, so the trace carries the same
     ``protocol.start`` / ``protocol.deliver`` (+ per-kind counters) /
-    ``protocol.sweep`` / ``protocol.done`` — and adds the sampled
+    ``protocol.sweep`` / ``protocol.done`` events, and adds the sampled
     accounting: a ``protocol.messages.probe`` counter per update and one
     ``protocol.sample`` event per completed circulation carrying that
     sweep's ring-wide poll cost.  The result's
@@ -200,106 +183,49 @@ def run_sampled_nash_protocol(
     """
     if sample_k < 1:
         raise ValueError("sample_k must be at least 1")
-    tracer = tracer if tracer is not None else current_tracer()
-    trace = tracer.enabled
     m, n = system.n_users, system.n_computers
-    board = ComputerBoard(system.service_rates, m)
-    bus = MessageBus(m, record_transcript=record_transcript)
-    agents = [
-        SampledUserAgent(
-            rank=j,
-            job_rate=float(system.arrival_rates[j]),
-            board=board,
-            bus=bus,
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-            sample_k=sample_k,
-            seed=seed,
-            tracer=tracer,
-        )
-        for j in range(m)
-    ]
+    k = min(sample_k, n)
+    ring = _Ring(
+        system,
+        MessageBus(m, record_transcript=record_transcript),
+        SampledUserAgent,
+        driver="sampled",
+        init=init,
+        tolerance=tolerance,
+        max_sweeps=max_sweeps,
+        tracer=tracer,
+        start=dict(k=k, tolerance=tolerance, max_sweeps=max_sweeps),
+        sample_k=sample_k,
+        seed=seed,
+    )
+    ring.pump()
 
-    seed_initial_state(system, board, agents, init)
-    if trace:
-        tracer.emit(
-            "protocol.start",
-            driver="sampled",
-            users=m,
-            computers=n,
-            k=min(sample_k, n),
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-        )
-
-    agents[0].start()
-    bus_messages = 0
-    while True:
-        pending = bus.pending_ranks()
-        if not pending:
-            break
-        for rank in pending:
-            message = bus.recv(rank)
-            if trace:
-                kind = message.kind.name.lower()
-                tracer.emit(
-                    "protocol.deliver",
-                    kind=kind,
-                    sender=message.sender,
-                    receiver=message.receiver,
-                    sweep=message.sweep,
-                    norm=message.norm,
-                )
-                tracer.count(f"protocol.messages.{kind}")
-            agents[rank].handle(message)
-            bus_messages += 1
-
-    if not all(agent.finished for agent in agents):  # pragma: no cover
-        raise RuntimeError("protocol stalled before termination circulated")
-
-    polls = sum(agent.polls for agent in agents)
-    fractions = board.flows / system.arrival_rates[:, None]
-    profile = StrategyProfile(fractions)
-    norms = np.asarray(agents[0].norm_history, dtype=float)
-    converged = bool(norms.size and norms[-1] <= tolerance)
+    polls = sum(agent.polls for agent in ring.agents)
     try:
-        epsilon = float(best_response_regrets(system, profile).epsilon)
-        user_times = system.user_response_times(profile.fractions)
+        result = ring.result()
+        epsilon = float(best_response_regrets(system, result.profile).epsilon)
     except ValueError:
+        result = ring.result(user_times=np.full(m, np.inf), converged=False)
         epsilon = float("inf")
-        user_times = np.full(m, np.inf)
-        converged = False
-    certificate = SampleCertificate(
-        k=min(sample_k, n),
-        n_computers=n,
-        sweeps=int(norms.size),
-        polls=polls,
-        sampled_norm=float(norms[-1]) if norms.size else 0.0,
-        epsilon=epsilon,
+    norms = result.norm_history
+    result = replace(
+        result,
+        sample=SampleCertificate(
+            k=k,
+            n_computers=n,
+            sweeps=result.iterations,
+            polls=polls,
+            sampled_norm=float(norms[-1]) if norms.size else 0.0,
+            epsilon=epsilon,
+        ),
     )
-    result = NashResult(
-        profile=profile,
-        converged=converged,
-        iterations=int(norms.size),
-        norm_history=norms,
-        user_times=user_times,
-        sample=certificate,
-    )
-    if trace:
-        tracer.emit(
-            "protocol.done",
-            driver="sampled",
-            converged=converged,
-            sweeps=int(norms.size),
-            messages_sent=bus_messages + polls,
-            retransmissions=0,
-        )
+    ring.done(result, messages_sent=ring.messages + polls)
     return SampledProtocolOutcome(
         result=result,
-        messages_sent=bus_messages + polls,
-        bus_messages=bus_messages,
+        messages_sent=ring.messages + polls,
+        bus_messages=ring.messages,
         polls=polls,
-        sample_k=min(sample_k, n),
+        sample_k=k,
         epsilon=epsilon,
-        transcript=bus.transcript,
+        transcript=ring.bus.transcript,
     )

@@ -2,8 +2,9 @@
 
 The package that keeps a NASH equilibrium alive under churn.  See
 :mod:`repro.engine.service` for the loop itself, docs/OPERATIONS.md for
-the operational contract, and :mod:`repro.workloads.traces` for churn
-trace generators.
+the operational contract, :mod:`repro.engine.dynamics` for the
+snapshot-driven re-balancing loop built on it, and
+:mod:`repro.workloads.traces` for churn trace generators.
 """
 
 from repro.engine.events import (
@@ -19,6 +20,11 @@ from repro.engine.events import (
     UserDeparture,
     as_epoch,
     event_kind,
+)
+from repro.engine.dynamics import (
+    DynamicsResult,
+    EpisodeResult,
+    run_dynamic_balancing,
 )
 from repro.engine.reequilibrate import ReequilibrationOutcome, converge_bounded
 from repro.engine.service import (
@@ -38,10 +44,12 @@ __all__ = [
     "ChurnEvent",
     "ComputerFailure",
     "ComputerReopen",
+    "DynamicsResult",
     "EngineConfig",
     "EngineRun",
     "EpochReport",
     "EpochStatus",
+    "EpisodeResult",
     "FleetState",
     "OnlineEquilibriumEngine",
     "PhiDrift",
@@ -57,4 +65,5 @@ __all__ = [
     "as_epoch",
     "converge_bounded",
     "event_kind",
+    "run_dynamic_balancing",
 ]

@@ -106,7 +106,7 @@ class PhiDrift:
 class SetDemand:
     """Wholesale replacement of the user population.
 
-    Used by the snapshot-driven :func:`repro.core.dynamics.run_dynamic_balancing`
+    Used by the snapshot-driven :func:`repro.engine.dynamics.run_dynamic_balancing`
     wrapper; churn traces normally prefer the granular events.
     """
 

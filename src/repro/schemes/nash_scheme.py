@@ -12,11 +12,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.core.classes import (
-    ClassNashSolver,
-    aggregate_users,
-    class_best_response_regrets,
-)
 from repro.core.equilibrium import best_response_regrets
 from repro.core.model import DistributedSystem
 from repro.core.nash import (
@@ -47,21 +42,11 @@ class NashScheme(LoadBalancingScheme):
         :func:`~repro.core.equilibrium.best_response_regrets` check.
     tolerance, max_sweeps:
         Forwarded to :class:`~repro.core.nash.NashSolver`.
-    aggregate:
-        Solve in user-class space (:mod:`repro.core.classes`): users are
-        grouped by job rate, the best-reply iteration runs with
-        ``(c, n)`` state, and the reported epsilon is the class-space
-        certificate — which *is* the per-user epsilon for exact
-        grouping.  Identical results on seed sizes, and the only path
-        that scales to millions of users (see docs/PERFORMANCE.md).
-        Warm starts are contracted into class space first, so sweep
-        continuation composes with aggregation.
     """
 
     init: Initialization | StrategyProfile = "proportional"
     tolerance: float = DEFAULT_TOLERANCE
     max_sweeps: int = DEFAULT_MAX_SWEEPS
-    aggregate: bool = False
     name: str = "NASH"
 
     def warm_started(self, profile: StrategyProfile) -> "NashScheme":
@@ -69,8 +54,6 @@ class NashScheme(LoadBalancingScheme):
         return dataclasses.replace(self, init=profile)
 
     def allocate(self, system: DistributedSystem) -> SchemeResult:
-        if self.aggregate:
-            return self._allocate_aggregate(system)
         solver = NashSolver(tolerance=self.tolerance, max_sweeps=self.max_sweeps)
         result = solver.solve(system, self.init)
         certificate = best_response_regrets(system, result.profile)
@@ -88,42 +71,5 @@ class NashScheme(LoadBalancingScheme):
                 "converged": result.converged,
                 "final_norm": result.final_norm,
                 "epsilon": certificate.epsilon,
-            },
-        )
-
-    def _allocate_aggregate(self, system: DistributedSystem) -> SchemeResult:
-        """Class-space solve: aggregate, iterate on ``(c, n)``, expand."""
-        aggregation = aggregate_users(system)
-        solver = ClassNashSolver(
-            tolerance=self.tolerance, max_sweeps=self.max_sweeps
-        )
-        if isinstance(self.init, StrategyProfile):
-            # Contract a user-space warm start (e.g. sweep continuation)
-            # into per-class rows before iterating in class space.
-            result = solver.solve(
-                aggregation, init=aggregation.contract(self.init)
-            )
-        else:
-            result = solver.solve(aggregation, init=self.init)
-        certificate = class_best_response_regrets(
-            aggregation, result.class_fractions
-        )
-        return evaluate_profile(
-            system,
-            result.expand(),
-            self.name,
-            extra={
-                "init": (
-                    self.init
-                    if isinstance(self.init, str)
-                    else "warm-start"
-                ),
-                "iterations": result.iterations,
-                "converged": result.converged,
-                "final_norm": result.final_norm,
-                "epsilon": certificate.epsilon,
-                "aggregate": True,
-                "n_classes": aggregation.n_classes,
-                "compression": aggregation.compression,
             },
         )

@@ -1,6 +1,6 @@
 """Synthetic time-varying workload traces.
 
-The dynamic re-balancing driver (:mod:`repro.core.dynamics`) consumes a
+The dynamic re-balancing driver (:mod:`repro.engine.dynamics`) consumes a
 sequence of system snapshots; these generators produce the standard
 shapes of demand over time, expressed as per-epoch *system utilizations*
 applied to any base system:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dynamics import run_dynamic_balancing
+from repro.engine.dynamics import run_dynamic_balancing
 from repro.core.equilibrium import is_nash_equilibrium
 from repro.workloads.configs import paper_table1_system
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dynamics import run_dynamic_balancing
+from repro.engine.dynamics import run_dynamic_balancing
 from repro.engine.events import (
     ComputerFailure,
     ComputerReopen,
