@@ -7,6 +7,9 @@ The class aggregation's value proposition, measured two ways:
   computers and solve to the standard certificate in ``(c, n)`` state.
   The per-user path cannot even allocate this instance's profile
   history on a laptop; the class path finishes in well under a second.
+  A traced solve outside the timed rounds must report zero symmetric
+  fill cap hits, so a returning Newton stall fails without a timing
+  threshold.
 * ``..._m1e5_peruser`` / ``..._m1e5_classspace`` — an apples-to-apples
   speedup pair at ``m = 100_000``: both sides run the *same* fixed
   budget of round-robin best-reply sweeps on the same system, one per
@@ -30,6 +33,9 @@ from repro.core.classes import (
 )
 from repro.core.model import DistributedSystem
 from repro.core.nash import NashSolver
+from repro.telemetry.analysis import class_summary
+from repro.telemetry.sinks import InMemorySink
+from repro.telemetry.trace import Tracer
 
 class_scale = pytest.mark.benchmark(group="class-scale")
 
@@ -76,6 +82,12 @@ def test_bench_class_scale_million(benchmark):
         aggregation, result.class_fractions
     )
     assert certificate.epsilon <= 1e-6
+
+    # Outside the timed rounds: a fill that runs its whole Newton cap is
+    # a stall whatever the timing noise, so count them on a traced solve.
+    sink = InMemorySink()
+    ClassNashSolver().solve(aggregation, "proportional", tracer=Tracer(sink))
+    assert class_summary(sink.events)["fill_cap_hits"] == 0
 
 
 @class_scale

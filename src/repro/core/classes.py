@@ -46,6 +46,7 @@ wins and measured numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import ulp
 from time import perf_counter
 from typing import Callable, Literal, NamedTuple
 
@@ -429,9 +430,18 @@ _FILL_MAX_ITERS = 80
 _FILL_RTOL = 1e-14
 
 
+class _Fill(NamedTuple):
+    """One symmetric class fill, as the sweep driver consumes it."""
+
+    flows: FloatArray
+    time: float
+    multiplier: float
+    iterations: int
+
+
 def _symmetric_class_fill(
-    m: FloatArray, demand: float, count: float
-) -> tuple[FloatArray, float]:
+    m: FloatArray, demand: float, count: float, u0: float = 0.0
+) -> _Fill:
     """Symmetric intra-class equilibrium fill of ``demand`` over rates ``m``.
 
     ``m`` holds the class's foreign-free rates (``mu - foreign load``);
@@ -447,12 +457,25 @@ def _symmetric_class_fill(
     as the plain water-fill (``i`` carries flow iff ``m_i > t^2``); for
     ``c = 1`` it degenerates to ``g_i = t sqrt(m_i)`` — the paper's
     closed form.  We solve the scalar conservation equation
-    ``sum_i y_i(u) = demand`` in ``u = t^2`` by safeguarded Newton.
+    ``sum_i y_i(u) = demand`` in ``u = t^2`` by Newton safeguarded by
+    the bracket ``[0, max m]``.
+
+    The iteration stops at ``|residual| <= _FILL_RTOL * demand`` or at
+    the float floor, whichever comes first: the bracket is a few ulps
+    wide, or the Newton step no longer moves ``u`` by an ulp.  Past that
+    point no representable ``u`` lowers the residual — what is left is
+    the rounding noise of the ``n``-term sum — so further iterations
+    cannot change the answer.  ``_FILL_MAX_ITERS`` is only a safety net.
+
+    ``u0`` warm-starts Newton, typically with the multiplier this class's
+    previous fill returned; a start outside ``(0, max m)`` (or NaN)
+    falls back to the cold guess.  The bracket keeps Newton safe from
+    any start, so the start changes the iteration count, not the answer.
 
     Returns the class-total allocation ``y`` (full length, zeros off the
-    support) and the member expected response time.  Raises
-    :class:`InfeasibleDemand` when ``demand`` is at or above the total
-    positive capacity.
+    support), the member expected response time, the final multiplier
+    ``u`` and the iterations spent.  Raises :class:`InfeasibleDemand`
+    when ``demand`` is at or above the total positive capacity.
 
     This is the key fix over the naive ``count * best_reply`` update:
     jumping *all* members of a class to the member best reply at once is
@@ -471,11 +494,15 @@ def _symmetric_class_fill(
     # u >= max(m) empties the support (sum = 0 < demand).
     lo = 0.0
     hi = float(mp.max())
-    u = hi * (1.0 - demand / cap)
-    if u <= lo or u >= hi:
-        u = 0.5 * hi
-    y = mp.copy()
-    for _ in range(_FILL_MAX_ITERS):
+    if lo < u0 < hi:
+        u = u0
+    else:
+        u = hi * (1.0 - demand / cap)
+        if u <= lo or u >= hi:
+            u = 0.5 * hi
+    y = mp
+    iterations = 0
+    for iterations in range(1, _FILL_MAX_ITERS + 1):
         root = np.sqrt((u * c1) ** 2 + 4.0 * c * u * mp)
         g = (u * c1 + root) / (2.0 * c)
         active = mp > g
@@ -485,7 +512,7 @@ def _symmetric_class_fill(
             lo = u
         else:
             hi = u
-        if abs(h) <= _FILL_RTOL * demand:
+        if abs(h) <= _FILL_RTOL * demand or hi - lo <= 4.0 * ulp(hi):
             break
         # dh/du = -sum over the support of dg/du (root > 0 for u > 0).
         dg = (c1 + (2.0 * u * c1 * c1 + 4.0 * c * mp) / (2.0 * root)) / (
@@ -494,20 +521,26 @@ def _symmetric_class_fill(
         slope = float(dg[active].sum())
         if slope > 0.0:
             u_next = u + h / slope
+            if abs(u_next - u) <= ulp(u):
+                # Newton no longer moves u; bisecting from here would
+                # only walk back to the same ulp.
+                break
         else:
             u_next = 0.5 * (lo + hi)
         if u_next <= lo or u_next >= hi:
             u_next = 0.5 * (lo + hi)
         u = u_next
-    # Exact conservation: rescale the residual Newton error away (the
-    # relative correction is at most ~_FILL_RTOL).
+    # Exact conservation: rescale the residual Newton error away.  The
+    # relative correction is at most the float floor: the rounding noise
+    # of the support sum plus the residual change over one ulp of ``u``
+    # (around 1e-14, at most ~1e-13, for n = 1024).
     total = float(y.sum())
     y *= demand / total
     gap = mp - y
     d = float((y / gap)[y > 0.0].sum()) / demand  # reprolint: allow=R003 gap > 0 on the support by construction
     out = np.zeros(m.shape[0])
     out[pos] = y
-    return out, d
+    return _Fill(out, d, u, iterations)
 
 
 def _fused_class_reply_inplace(
@@ -518,7 +551,8 @@ def _fused_class_reply_inplace(
     lam: FloatArray,
     avail: FloatArray,
     thr: FloatArray,
-) -> float:
+    u0: float,
+) -> tuple[float, float, int]:
     """One class's equilibrium reply with in-place aggregate bookkeeping.
 
     ``own`` is the class's *total* flow row inside the ``(c, n)`` flow
@@ -529,7 +563,8 @@ def _fused_class_reply_inplace(
     ``(n,)`` scratch buffers.  ``demand`` is the class's true member-rate
     sum (``ClassAggregation.demands[k]``, *not* re-derived as
     ``rate * count`` — see :func:`aggregate_users`).  Returns the
-    member's new expected response time.
+    member's new expected response time, the fill's final multiplier and
+    the fill's iteration count.
 
     A singleton class is one user, and its reply is the paper's OPTIMAL
     water-fill: the arithmetic mirrors
@@ -538,8 +573,13 @@ def _fused_class_reply_inplace(
     Whenever some computer has no headroom left — possible only from an
     infeasible initialization such as a uniform split on a strongly
     heterogeneous system — it falls back to the defensive scalar solver,
-    which handles unavailable computers.  A multi-member class lands on
-    its symmetric intra-class equilibrium via :func:`_symmetric_class_fill`.
+    which handles unavailable computers.  Either way no fill runs, so the
+    multiplier and iteration count come back as 0.
+
+    A multi-member class lands on its symmetric intra-class equilibrium
+    via :func:`_symmetric_class_fill`, its Newton started at ``u0`` (the
+    class's multiplier from its previous fill, which the driver keeps)
+    and stopped at ``_FILL_RTOL`` or at the float floor.
     """
     np.subtract(mu, lam, out=avail)
     avail += own
@@ -550,7 +590,7 @@ def _fused_class_reply_inplace(
             lam -= own
             np.multiply(reply.fractions, demand, out=own)
             lam += own
-            return float(reply.expected_response_time)
+            return float(reply.expected_response_time), 0.0, 0
 
         order = np.argsort(-avail, kind="stable")
         a_sorted = avail[order]
@@ -579,13 +619,13 @@ def _fused_class_reply_inplace(
         own[:] = 0.0
         own[order[:cut]] = x
         lam += own
-        return d
+        return d, 0.0, 0
 
-    y, d = _symmetric_class_fill(avail, demand, count)
+    fill = _symmetric_class_fill(avail, demand, count, u0)
     lam -= own
-    own[:] = y
+    own[:] = fill.flows
     lam += own
-    return d
+    return fill.time, fill.multiplier, fill.iterations
 
 
 def _sampled_class_reply(
@@ -593,32 +633,35 @@ def _sampled_class_reply(
     own: FloatArray,
     demand: float,
     count: float,
+    u0: float,
     *,
     seed: int,
     sweep: int,
     index: int,
     k: int,
-) -> tuple[FloatArray, float, int]:
+) -> tuple[_Fill, int]:
     """One class's reply restricted to ``support ∪ k-sample``.
 
     A singleton class is one user and takes
-    :func:`repro.core.sampled.sampled_best_reply`; a multi-member class
-    lands on its symmetric intra-class equilibrium over the same reply
-    set (:func:`repro.core.sampled.sampled_reply_set`).  Returns the new
-    full-length class-total flow row, the member expected response time
-    and the polls spent.
+    :func:`repro.core.sampled.sampled_best_reply` (multiplier and
+    iterations reported as 0); a multi-member class lands on its
+    symmetric intra-class equilibrium over the same reply set
+    (:func:`repro.core.sampled.sampled_reply_set`), warm-started at
+    ``u0``.  Returns the fill with the new full-length class-total flow
+    row, and the polls spent.
     """
     if count <= 1.0:
         rep = sampled_best_reply(
             avail, own, demand, seed=seed, sweep=sweep, index=index, k=k
         )
-        return rep.flows, rep.expected_response_time, rep.polls
+        return _Fill(rep.flows, rep.expected_response_time, 0.0, 0), rep.polls
     chosen, polls = sampled_reply_set(
         avail, own, demand, seed=seed, sweep=sweep, index=index, k=k
     )
+    fill = _symmetric_class_fill(avail[chosen], demand, count, u0)
     flows = np.zeros(avail.shape[0])
-    flows[chosen], d = _symmetric_class_fill(avail[chosen], demand, count)
-    return flows, d, polls
+    flows[chosen] = fill.flows
+    return fill._replace(flows=flows), polls
 
 
 def initial_profile(
@@ -788,6 +831,12 @@ class ClassNashSolver:
         previous sweep's profile, batched into one vectorized kernel call
         when every class is a singleton.  ``events`` names the trace
         events and counters.
+
+        The driver keeps each class's last fill multiplier and starts the
+        class's next fill from it: between sweeps a class's foreign load
+        moves little, so Newton starts next to its root.  When tracing,
+        every sweep event carries the sweep's fill iterations and cap
+        hits (both 0 when every class is a singleton).
         """
         fractions = initial_profile(aggregation, init).fractions
         mu = aggregation.service_rates
@@ -838,6 +887,9 @@ class ClassNashSolver:
         flows = fractions * demands[:, None]
         avail = np.empty(n)
         thr = np.empty(n)
+        # Each class's last fill multiplier u = t^2, the Newton start of
+        # its next fill (0.0 = none yet: the fill takes its cold guess).
+        multipliers = [0.0] * c
 
         norms: list[float] = []
         history: list[FloatArray] = []
@@ -849,6 +901,7 @@ class ClassNashSolver:
             # the reference driver.
             lam = flows.sum(axis=0)
             sweep_started = perf_counter() if trace else 0.0
+            fill_iterations = fill_cap_hits = 0
             regrets: FloatArray | None
             if self.order == "simultaneous":
                 foreign_free = (mu - lam)[None, :] + flows
@@ -870,15 +923,20 @@ class ClassNashSolver:
                     times = np.empty(c)
                     for k in range(c):
                         if sampling:
-                            flows[k], times[k], polls = _sampled_class_reply(
-                                foreign_free[k], flows[k], demand_of[k], counts[k],
+                            fill, polls = _sampled_class_reply(
+                                foreign_free[k], flows[k], demand_of[k],
+                                counts[k], multipliers[k],
                                 seed=self.seed, sweep=sweep, index=k, k=sample_k,
                             )
                             total_polls += polls
                         else:
-                            flows[k], times[k] = _symmetric_class_fill(
-                                foreign_free[k], demand_of[k], counts[k]
+                            fill = _symmetric_class_fill(
+                                foreign_free[k], demand_of[k], counts[k],
+                                multipliers[k],
                             )
+                        flows[k], times[k], multipliers[k], iterations = fill
+                        fill_iterations += iterations
+                        fill_cap_hits += iterations == _FILL_MAX_ITERS
                 regrets = np.abs(times - last_times)
                 norm = float((counts_f * regrets).sum())
                 last_times = times
@@ -892,17 +950,24 @@ class ClassNashSolver:
                     if sampling:
                         np.subtract(mu, lam, out=avail)
                         avail += flows[k]
-                        y, d_k, polls = _sampled_class_reply(
+                        fill, polls = _sampled_class_reply(
                             avail, flows[k], demand_of[k], counts[k],
+                            multipliers[k],
                             seed=self.seed, sweep=sweep, index=k, k=sample_k,
                         )
                         total_polls += polls
+                        y, d_k, multipliers[k], iterations = fill
                         lam += y - flows[k]
                         flows[k] = y
                     else:
-                        d_k = _fused_class_reply_inplace(
-                            mu, counts[k], demand_of[k], flows[k], lam, avail, thr
+                        d_k, multipliers[k], iterations = (
+                            _fused_class_reply_inplace(
+                                mu, counts[k], demand_of[k], flows[k], lam,
+                                avail, thr, multipliers[k],
+                            )
                         )
+                    fill_iterations += iterations
+                    fill_cap_hits += iterations == _FILL_MAX_ITERS
                     delta = abs(d_k - last_times[k])
                     norm += counts[k] * delta
                     if regrets is not None:
@@ -919,6 +984,8 @@ class ClassNashSolver:
                     elapsed_s=elapsed,
                     classes=c,
                     regrets=regrets,
+                    fill_iterations=fill_iterations,
+                    fill_cap_hits=fill_cap_hits,
                 )
                 tracer.count(events.sweeps)
                 tracer.count(events.replies, c)

@@ -220,9 +220,11 @@ def class_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
     Rolls up the ``solver.class_*`` events a
     :class:`~repro.core.classes.ClassNashSolver` run emits (start /
     per-sweep norms / done) into one overview: aggregation shape
-    (classes, users, compression) and the user-weighted norm history
+    (classes, users, compression), the user-weighted norm history
     (reconstructible exactly — the same float round-trip guarantee the
-    per-user solver enjoys).
+    per-user solver enjoys) and the symmetric fill kernel's counters
+    summed over all sweeps (``fill_iterations``, and ``fill_cap_hits``,
+    the fills that ran the whole iteration cap).
     """
     starts: list[dict[str, Any]] = []
     sweeps: list[dict[str, Any]] = []
@@ -246,6 +248,10 @@ def class_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
         "total_elapsed_s": float(
             sum(float(s.get("elapsed_s", 0.0)) for s in sweeps)
         ),
+        "fill_iterations": sum(
+            int(s.get("fill_iterations", 0)) for s in sweeps
+        ),
+        "fill_cap_hits": sum(int(s.get("fill_cap_hits", 0)) for s in sweeps),
     }
 
 

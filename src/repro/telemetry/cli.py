@@ -117,7 +117,9 @@ def _render_summary(events: list[TraceEvent]) -> tuple[dict[str, Any], str]:
             f"class-space: {classes['n_solves']} solves, "
             f"{classes['total_sweeps']} sweeps, {final}"
             f"{classes['classes']} classes / {classes['users']} users "
-            f"({classes['compression']:.0f}x)"
+            f"({classes['compression']:.0f}x), "
+            f"{classes['fill_iterations']} fill iterations / "
+            f"{classes['fill_cap_hits']} cap hits"
         )
     engine = engine_summary(events)
     if engine["n_epochs"]:

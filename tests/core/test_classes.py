@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.classes import (
+    _FILL_MAX_ITERS,
     ClassAggregation,
     ClassNashSolver,
+    _symmetric_class_fill,
     aggregate_users,
     class_best_response_regrets,
 )
@@ -284,7 +290,7 @@ class TestMultiMemberClasses:
 
         m = np.array([9.0, 4.0, 1.0])
         demand = 2.5
-        y, d = _symmetric_class_fill(m, demand, 1)
+        y, d, _, _ = _symmetric_class_fill(m, demand, 1)
         reply = optimal_fractions(m, demand)
         np.testing.assert_allclose(y, reply.fractions * demand, atol=1e-12)
 
@@ -293,11 +299,134 @@ class TestMultiMemberClasses:
 
         m = np.array([12.0, 7.0, 3.0, 0.5])
         for count in (1, 2, 5, 100):
-            y, d = _symmetric_class_fill(m, 4.0, count)
+            y, d, _, _ = _symmetric_class_fill(m, 4.0, count)
             np.testing.assert_allclose(y.sum(), 4.0, rtol=1e-10)
             assert np.all(y >= 0.0)
             assert np.all(y <= m + 1e-12)
             assert d > 0.0
+
+
+def _levelled_fill_input() -> tuple[np.ndarray, float, float]:
+    """A headline-shaped fill: ``n = 1024`` foreign-free rates, about a
+    third of them levelled near 50 by the other classes' flow, and a
+    class of 3900 members.  Newton reaches the float floor here with the
+    residual just above ``_FILL_RTOL``; a loop that stops only on the
+    tolerance spends its whole iteration cap on this input."""
+    rng = np.random.default_rng(2)
+    m = np.minimum(
+        rng.uniform(20.0, 80.0, size=1024),
+        50.0 + rng.uniform(0.0, 0.03, size=1024),
+    )
+    return m, 0.003 * float(m.sum()), 3900.0
+
+
+def _headline_system() -> DistributedSystem:
+    """``10^6`` users from 256 job rates over 1024 computers at rho 0.6."""
+    rng = np.random.default_rng(42)
+    mu = rng.uniform(50.0, 150.0, size=1024)
+    rates = rng.uniform(0.5, 2.0, size=256)
+    phi = rates[np.arange(1_000_000) % 256]
+    phi *= 0.6 * mu.sum() / phi.sum()
+    return DistributedSystem(service_rates=mu, arrival_rates=phi)
+
+
+class TestFillFloatFloor:
+    def test_levelled_input_stops_at_the_float_floor(self):
+        m, demand, count = _levelled_fill_input()
+        fill = _symmetric_class_fill(m, demand, count)
+        assert fill.iterations <= 10 < _FILL_MAX_ITERS
+        assert abs(float(fill.flows.sum()) - demand) <= 4 * math.ulp(demand)
+        assert np.all(fill.flows >= 0.0)
+        assert np.all(fill.flows <= m)
+        assert 0.0 < fill.multiplier < float(m.max())
+
+    def test_traced_headline_solve_has_no_fill_cap_hits(self):
+        from repro.telemetry.analysis import class_summary
+        from repro.telemetry.sinks import InMemorySink
+        from repro.telemetry.trace import Tracer
+
+        sink = InMemorySink()
+        tracer = Tracer(sink)
+        agg = aggregate_users(_headline_system())
+        result = ClassNashSolver().solve(agg, "proportional", tracer=tracer)
+        assert result.converged
+        summary = class_summary(sink.events)
+        assert summary["fill_iterations"] >= agg.n_classes * result.iterations
+        assert summary["fill_cap_hits"] == 0
+        certificate = class_best_response_regrets(agg, result.class_fractions)
+        assert certificate.epsilon <= 1e-6
+
+    def test_singleton_sweeps_report_zero_fill_work(self):
+        from repro.telemetry.sinks import InMemorySink
+        from repro.telemetry.trace import Tracer
+
+        sink = InMemorySink()
+        rng = np.random.default_rng(3)
+        system = random_system(rng, n_computers=6, n_users=8)
+        NashSolver().solve(system, "zero", tracer=Tracer(sink))
+        sweeps = [e for e in sink.events if e.name == "solver.sweep"]
+        assert sweeps
+        assert all(e.fields["fill_iterations"] == 0 for e in sweeps)
+        assert all(e.fields["fill_cap_hits"] == 0 for e in sweeps)
+
+
+def _random_fill_input(seed: int) -> tuple[np.ndarray, float]:
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-5.0, 60.0, size=int(rng.integers(2, 300)))
+    m[0] = abs(m[0]) + 1.0  # at least one computer with headroom
+    return m, float(rng.uniform(0.05, 0.95)) * float(m[m > 0.0].sum())
+
+
+class TestFillWarmStart:
+    @staticmethod
+    def _assert_matches_cold(m, demand, count, u0):
+        cold = _symmetric_class_fill(m, demand, count)
+        warm = _symmetric_class_fill(m, demand, count, u0)
+        assert np.max(np.abs(warm.flows - cold.flows)) <= 1e-12 * demand
+        assert warm.time == pytest.approx(cold.time, rel=1e-12)
+        for fill in (cold, warm):
+            assert np.all(fill.flows >= 0.0)
+            assert np.all(fill.flows <= np.maximum(m, 0.0))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.sampled_from([1.0, 2.0, 7.0, 400.0, 3900.0]),
+        position=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_start_inside_the_bracket_keeps_the_answer(
+        self, seed, count, position
+    ):
+        m, demand = _random_fill_input(seed)
+        self._assert_matches_cold(m, demand, count, position * float(m.max()))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.sampled_from([1.0, 2.0, 400.0, 3900.0]),
+        position=st.one_of(
+            st.floats(max_value=0.0),
+            st.floats(min_value=1.0),
+            st.just(math.nan),
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_start_outside_the_bracket_falls_back_to_cold(
+        self, seed, count, position
+    ):
+        m, demand = _random_fill_input(seed)
+        u0 = position * float(m.max())
+        cold = _symmetric_class_fill(m, demand, count)
+        warm = _symmetric_class_fill(m, demand, count, u0)
+        np.testing.assert_array_equal(warm.flows, cold.flows)
+        assert warm.iterations == cold.iterations
+        self._assert_matches_cold(m, demand, count, u0)
+
+    def test_levelled_input_from_its_own_multiplier_stops_at_once(self):
+        m, demand, count = _levelled_fill_input()
+        cold = _symmetric_class_fill(m, demand, count)
+        warm = _symmetric_class_fill(m, demand, count, cold.multiplier)
+        assert warm.iterations <= 2
+        self._assert_matches_cold(m, demand, count, cold.multiplier)
 
 
 class TestNonFiniteInit:

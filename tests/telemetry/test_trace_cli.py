@@ -52,6 +52,27 @@ class TestSummary:
         assert "protocol.sweep" in payload["event_counts"]
         assert payload["metrics"] is not None
 
+    def test_class_line_reports_fill_counters(self, tmp_path, capsys):
+        from repro.core.classes import ClassNashSolver, aggregate_users
+        from repro.core.model import DistributedSystem
+
+        path = tmp_path / "class.trace.jsonl"
+        system = DistributedSystem(
+            service_rates=[20.0, 10.0, 5.0],
+            arrival_rates=[2.0, 1.0, 2.0, 3.0, 1.0, 2.0],
+        )
+        with trace_to_file(path) as tracer:
+            ClassNashSolver().solve(
+                aggregate_users(system), "zero", tracer=tracer
+            )
+        assert main(["summary", str(path)]) == 0
+        (line,) = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("class-space:")
+        ]
+        assert line.endswith(" fill iterations / 0 cap hits")
+
 
 class TestConvergence:
     def test_norms_match_run(self, traced_run, capsys):
