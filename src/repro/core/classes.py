@@ -32,8 +32,10 @@ the class-space certificate *is* the user-space certificate (exactly for
 exact grouping, up to the grouping tolerance otherwise).  With every
 class a singleton each class reply is the paper's per-user OPTIMAL
 reply, so this module's sweep driver is the only one:
-:class:`~repro.core.nash.NashSolver` runs it with one class per user,
-and the parity tests pin it against the frozen reference driver.
+:class:`~repro.core.nash.NashSolver` runs it with one class per user
+(and :class:`~repro.core.comm_delay.DelayedNashSolver`, with the delays
+as a fill offset), and the parity tests pin it against the frozen
+reference driver.
 
 The sweep *norm* is user-weighted (``sum_k count_k |D_k^{(l)} -
 D_k^{(l-1)}|``) so ``tolerance`` means the same thing it means for the
@@ -219,19 +221,6 @@ class ClassAggregation:
         tiled: FloatArray = np.tile(row, (self.n_classes, 1))
         return tiled
 
-    def as_demand_system(self) -> DistributedSystem:
-        """The ``c``-player system whose arrival rates are the class demands.
-
-        *Not* the same game (a class member's opponents include its
-        classmates), but it has identical loads/feasibility structure, so
-        it drives profile repair and warm starts
-        (:func:`repro.core.continuation.warm_start_profile`) in class
-        space.
-        """
-        return DistributedSystem(
-            service_rates=self.service_rates, arrival_rates=self.demands
-        )
-
     # ------------------------------------------------------------------
     # Expansion / contraction between user and class space
     # ------------------------------------------------------------------
@@ -247,16 +236,6 @@ class ClassAggregation:
             raise ValueError("synthetic aggregation has no user mapping")
         f = self._validated(class_fractions)
         return StrategyProfile(f[self.class_of])
-
-    def expand_user_times(self, class_times: FloatArray) -> FloatArray:
-        """Per-user expected response times from per-class member times."""
-        if self.class_of is None:
-            raise ValueError("synthetic aggregation has no user mapping")
-        times = np.asarray(class_times, dtype=float)
-        if times.shape != (self.n_classes,):
-            raise ValueError("class_times must have one entry per class")
-        expanded: FloatArray = times[self.class_of]
-        return expanded
 
     def contract(self, profile: StrategyProfile | FloatArray) -> FloatArray:
         """Demand-weighted class rows from an ``(m, n)`` per-user profile.
@@ -397,22 +376,11 @@ class ClassEquilibriumCertificate:
 def class_best_response_regrets(
     aggregation: ClassAggregation, class_fractions: FloatArray
 ) -> ClassEquilibriumCertificate:
-    """Certify a class profile with ``c`` batched best responses.
-
-    Row ``k``'s available rates are ``mu - lam + phi_k f_k`` — the
-    aggregate minus everyone else's flow *including the classmates'* —
-    so this is the exact per-user certificate evaluated once per class.
-    """
+    """Certify a class profile with ``c`` batched best responses."""
     f = aggregation._validated(class_fractions)
-    mu = aggregation.service_rates
-    rates = aggregation.class_rates
-    lam = aggregation.demands @ f
-    if np.any(mu - lam <= 0.0):
-        raise ValueError("class profile violates per-computer stability")
-    current = f @ expected_response_time(lam, mu)
-    member_flows = rates[:, None] * f
-    available = (mu - lam)[None, :] + member_flows
-    best = optimal_fractions_batch(available, rates).expected_response_times
+    current, best = _member_times(
+        aggregation.service_rates, aggregation.demands, aggregation.class_rates, f
+    )
     regrets = current - best
     return ClassEquilibriumCertificate(
         regrets=regrets,
@@ -421,6 +389,24 @@ def class_best_response_regrets(
         counts=aggregation.counts,
         epsilon=float(regrets.max()),
     )
+
+
+def _member_times(
+    mu: FloatArray, demands: FloatArray, rates: FloatArray, f: FloatArray
+) -> tuple[FloatArray, FloatArray]:
+    """Each row's current and best-reply member times: the one certificate.
+
+    Row ``k``'s available rates are ``mu - lam + rate_k f_k``, everyone
+    else's flow removed *including the classmates'*; per-user callers pass
+    one class per user (``demands = rates = phi``).
+    """
+    lam = demands @ f
+    if np.any(mu - lam <= 0.0):
+        raise ValueError("class profile violates per-computer stability")
+    current: FloatArray = f @ expected_response_time(lam, mu)
+    available = (mu - lam)[None, :] + rates[:, None] * f
+    best = optimal_fractions_batch(available, rates).expected_response_times
+    return current, best
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +426,11 @@ class _Fill(NamedTuple):
 
 
 def _symmetric_class_fill(
-    m: FloatArray, demand: float, count: float, u0: float = 0.0
+    m: FloatArray,
+    demand: float,
+    count: float,
+    u0: float = 0.0,
+    offset: FloatArray | None = None,
 ) -> _Fill:
     """Symmetric intra-class equilibrium fill of ``demand`` over rates ``m``.
 
@@ -468,14 +458,20 @@ def _symmetric_class_fill(
     cannot change the answer.  ``_FILL_MAX_ITERS`` is only a safety net.
 
     ``u0`` warm-starts Newton, typically with the multiplier this class's
-    previous fill returned; a start outside ``(0, max m)`` (or NaN)
-    falls back to the cold guess.  The bracket keeps Newton safe from
-    any start, so the start changes the iteration count, not the answer.
+    previous fill returned; a start outside the bracket (or NaN) falls
+    back to the cold guess.  The bracket keeps Newton safe from any
+    start, so the start changes the iteration count, not the answer.
+
+    ``offset`` adds a cost ``o_i >= 0`` per job sent to computer ``i`` (the
+    delays of :mod:`repro.core.comm_delay`).  Newton still runs in ``u``;
+    computer ``i`` sees ``u_i = u / (1 - u o_i)``, is open while
+    ``u_i < m_i``, and the bracket tops out at ``max 1/(1/m_i + o_i)``.
 
     Returns the class-total allocation ``y`` (full length, zeros off the
-    support), the member expected response time, the final multiplier
-    ``u`` and the iterations spent.  Raises :class:`InfeasibleDemand`
-    when ``demand`` is at or above the total positive capacity.
+    support), the member cost (expected response time, plus the offset
+    cost ``sum_i y_i o_i / demand``), the final multiplier ``u`` and the
+    iterations spent.  Raises :class:`InfeasibleDemand` when ``demand``
+    is at or above the total positive capacity.
 
     This is the key fix over the naive ``count * best_reply`` update:
     jumping *all* members of a class to the member best reply at once is
@@ -490,10 +486,11 @@ def _symmetric_class_fill(
         raise InfeasibleDemand(demand, cap)
     c = count
     c1 = c - 1.0
+    off = None if offset is None else offset[pos]
     # Bracket in u = t^2: u -> 0 gives y -> m (sum = cap > demand),
     # u >= max(m) empties the support (sum = 0 < demand).
     lo = 0.0
-    hi = float(mp.max())
+    hi = float(mp.max() if off is None else (mp / (1.0 + mp * off)).max())
     if lo < u0 < hi:
         u = u0
     else:
@@ -501,24 +498,36 @@ def _symmetric_class_fill(
         if u <= lo or u >= hi:
             u = 0.5 * hi
     y = mp
+    step = step_before = hi  # Newton step lengths, for the offset's guard
     iterations = 0
     for iterations in range(1, _FILL_MAX_ITERS + 1):
-        root = np.sqrt((u * c1) ** 2 + 4.0 * c * u * mp)
-        g = (u * c1 + root) / (2.0 * c)
+        if off is not None:  # a closed computer takes u_i = m_i (finite)
+            den = 1.0 - u * off
+            is_open = mp * den > u
+        uu = u if off is None else np.divide(u, den, out=mp.copy(), where=is_open)
+        root = np.sqrt((uu * c1) ** 2 + 4.0 * c * uu * mp)
+        g = (uu * c1 + root) / (2.0 * c)
         active = mp > g
+        if off is not None:
+            active &= is_open
         y = np.where(active, mp - g, 0.0)
         h = float(y.sum()) - demand
         if h > 0.0:
             lo = u
         else:
             hi = u
-        if abs(h) <= _FILL_RTOL * demand or hi - lo <= 4.0 * ulp(hi):
+        done = abs(h) <= _FILL_RTOL * demand or hi - lo <= 4.0 * ulp(hi)
+        if done and off is None:
             break
         # dh/du = -sum over the support of dg/du (root > 0 for u > 0).
-        dg = (c1 + (2.0 * u * c1 * c1 + 4.0 * c * mp) / (2.0 * root)) / (
+        dg = (c1 + (2.0 * uu * c1 * c1 + 4.0 * c * mp) / (2.0 * root)) / (
             2.0 * c
         )
+        if off is not None:
+            dg *= (uu / u) ** 2
         slope = float(dg[active].sum())
+        if done:
+            break
         if slope > 0.0:
             u_next = u + h / slope
             if abs(u_next - u) <= ulp(u):
@@ -527,9 +536,20 @@ def _symmetric_class_fill(
                 break
         else:
             u_next = 0.5 * (lo + hi)
-        if u_next <= lo or u_next >= hi:
+        # The conservation sum is convex in u without an offset; with one
+        # Newton can bounce across the root, so a step longer than half
+        # the one before last bisects.
+        if u_next <= lo or u_next >= hi or (
+            off is not None and 2.0 * abs(u_next - u) > step_before
+        ):
             u_next = 0.5 * (lo + hi)
+        step_before, step = step, abs(u_next - u)
         u = u_next
+    if off is not None and slope > 0.0:
+        # Near a pole (u o_i -> 1) one ulp of u moves up to ~1e-12 of the
+        # demand: shift that residual along dy/du, where it moves the
+        # marginal costs least, before the rescale.
+        y = np.maximum(y - (h / slope) * np.where(active, dg, 0.0), 0.0)
     # Exact conservation: rescale the residual Newton error away.  The
     # relative correction is at most the float floor: the rounding noise
     # of the support sum plus the residual change over one ulp of ``u``
@@ -538,6 +558,8 @@ def _symmetric_class_fill(
     y *= demand / total
     gap = mp - y
     d = float((y / gap)[y > 0.0].sum()) / demand  # reprolint: allow=R003 gap > 0 on the support by construction
+    if off is not None:
+        d += float(y @ off) / demand
     out = np.zeros(m.shape[0])
     out[pos] = y
     return _Fill(out, d, u, iterations)
@@ -552,6 +574,7 @@ def _fused_class_reply_inplace(
     avail: FloatArray,
     thr: FloatArray,
     u0: float,
+    offset: FloatArray | None = None,
 ) -> tuple[float, float, int]:
     """One class's equilibrium reply with in-place aggregate bookkeeping.
 
@@ -576,14 +599,15 @@ def _fused_class_reply_inplace(
     which handles unavailable computers.  Either way no fill runs, so the
     multiplier and iteration count come back as 0.
 
-    A multi-member class lands on its symmetric intra-class equilibrium
-    via :func:`_symmetric_class_fill`, its Newton started at ``u0`` (the
-    class's multiplier from its previous fill, which the driver keeps)
-    and stopped at ``_FILL_RTOL`` or at the float floor.
+    A multi-member class, or any class with an ``offset``, lands on its
+    symmetric intra-class equilibrium via :func:`_symmetric_class_fill`,
+    its Newton started at ``u0`` (the class's multiplier from its previous
+    fill, which the driver keeps) and stopped at ``_FILL_RTOL`` or at the
+    float floor.
     """
     np.subtract(mu, lam, out=avail)
     avail += own
-    if count <= 1.0:
+    if count <= 1.0 and offset is None:
         if np.any(avail <= 0.0):
             # Defensive path: unavailable computers present.
             reply = optimal_fractions(avail, demand)
@@ -621,7 +645,7 @@ def _fused_class_reply_inplace(
         lam += own
         return d, 0.0, 0
 
-    fill = _symmetric_class_fill(avail, demand, count, u0)
+    fill = _symmetric_class_fill(avail, demand, count, u0, offset)
     lam -= own
     own[:] = fill.flows
     lam += own
@@ -697,6 +721,20 @@ def initial_profile(
     if init == "uniform":
         return StrategyProfile.uniform(rows, mu.size)
     raise ValueError(f"unknown initialization {init!r}")
+
+
+def _singleton_classes(system: DistributedSystem) -> ClassAggregation:
+    """One class per user, in user order: equal-rate users keep their own
+    Gauss-Seidel turns (user 1 of NASH_0 sees an idle system)."""
+    phi = system.arrival_rates
+    m = system.n_users
+    return ClassAggregation(
+        service_rates=system.service_rates,
+        class_rates=phi,
+        counts=np.ones(m, dtype=np.intp),
+        demands=phi,
+        class_of=np.arange(m),
+    )
 
 
 class _Events(NamedTuple):
@@ -821,6 +859,7 @@ class ClassNashSolver:
         init: Initialization | FloatArray | StrategyProfile,
         tracer: Tracer | None,
         events: _Events,
+        offset: FloatArray | None = None,
     ) -> ClassNashResult:
         """The sweep driver behind both public solvers.
 
@@ -837,6 +876,10 @@ class ClassNashSolver:
         moves little, so Newton starts next to its root.  When tracing,
         every sweep event carries the sweep's fill iterations and cap
         hits (both 0 when every class is a singleton).
+
+        With an ``offset`` (``(c, n)``, the delays of ``comm_delay``) every
+        exact reply is a fill with its class's row (sampled replies ignore
+        it), and the member times include the offset cost.
         """
         fractions = initial_profile(aggregation, init).fractions
         mu = aggregation.service_rates
@@ -846,8 +889,12 @@ class ClassNashSolver:
         # Per-reply scalars as Python floats, converted once per solve.
         counts: list[float] = counts_f.tolist()
         demand_of: list[float] = demands.tolist()
-        singleton = bool(np.all(aggregation.counts == 1))
+        # Singletons without an offset reply by the closed-form water-fill.
+        singleton = offset is None and bool(np.all(aggregation.counts == 1))
         c, n = aggregation.n_classes, aggregation.n_computers
+        offset_of: list[FloatArray | None] = (
+            [None] * c if offset is None else list(offset)
+        )
         rng = np.random.default_rng(self.seed) if self.order == "random" else None
         # Power-of-k mode: k < n restricts every class reply to
         # support ∪ sample; k >= n runs the exact path unchanged (bit-for-
@@ -875,10 +922,16 @@ class ClassNashSolver:
         # conserves flow but overloads some computer (e.g. a uniform split
         # on a heterogeneous system) has no finite expected times; treat it
         # like NASH_0 for norm purposes — the first sweep repairs it.
+        def member_costs(f: FloatArray) -> FloatArray:
+            costs = aggregation.class_times(f)
+            if offset is not None:
+                costs = costs + (f * offset).sum(axis=1)
+            return costs
+
         last_times = np.zeros(c)
         if np.allclose(fractions.sum(axis=1), 1.0):
             try:
-                last_times = aggregation.class_times(fractions)
+                last_times = member_costs(fractions)
             except ValueError:
                 pass
 
@@ -932,7 +985,7 @@ class ClassNashSolver:
                         else:
                             fill = _symmetric_class_fill(
                                 foreign_free[k], demand_of[k], counts[k],
-                                multipliers[k],
+                                multipliers[k], offset_of[k],
                             )
                         flows[k], times[k], multipliers[k], iterations = fill
                         fill_iterations += iterations
@@ -963,7 +1016,7 @@ class ClassNashSolver:
                         d_k, multipliers[k], iterations = (
                             _fused_class_reply_inplace(
                                 mu, counts[k], demand_of[k], flows[k], lam,
-                                avail, thr, multipliers[k],
+                                avail, thr, multipliers[k], offset_of[k],
                             )
                         )
                     fill_iterations += iterations
@@ -998,7 +1051,7 @@ class ClassNashSolver:
 
         final = flows / demands[:, None]
         try:
-            class_times = aggregation.class_times(final)
+            class_times = member_costs(final)
         except ValueError:
             # Only reachable with the simultaneous (Jacobi) order, which
             # can overshoot into an unstable joint profile mid-oscillation.

@@ -16,13 +16,11 @@ the KKT conditions become
     1/a_i + t_i >= alpha                     off the support,
 
 so ``x_i(alpha) = a_i - sqrt(a_i / (alpha - t_i))`` and the multiplier
-``alpha`` is fixed by flow conservation.  ``sum_i x_i(alpha)`` is
-continuous and strictly increasing in ``alpha``, which makes bisection
-exact and fast; that is what :func:`delayed_best_response` implements
-(vectorized over computers inside each bisection step).
-
-The best-reply iteration and equilibrium verification then lift to the
-delayed game unchanged (:class:`DelayedNashSolver`).
+``alpha`` is fixed by flow conservation.  The delay is a per-computer
+additive cost, so :func:`delayed_best_response` is the class fill of
+:mod:`repro.core.classes` for a class of one with ``t`` as its offset
+(safeguarded Newton on ``u = 1/alpha``), and :class:`DelayedNashSolver`
+runs the class sweep driver with one class per user.
 """
 
 from __future__ import annotations
@@ -31,8 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.classes import (
+    _EVENTS,
+    ClassNashSolver,
+    _singleton_classes,
+    _symmetric_class_fill,
+)
 from repro.core.model import DistributedSystem
 from repro.core.strategy import StrategyProfile
+from repro.core.waterfill import _validate_inputs
 
 __all__ = [
     "DelayedGame",
@@ -40,9 +45,6 @@ __all__ = [
     "DelayedNashResult",
     "DelayedNashSolver",
 ]
-
-_BISECTION_TOL = 1e-13
-_MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,8 @@ class DelayedGame:
 
     def user_costs(self, profile: StrategyProfile) -> np.ndarray:
         """``D_j`` including communication delays."""
-        times = self.system.response_times(profile.fractions)
-        queueing = profile.fractions @ times
-        shipping = (profile.fractions * self.delays).sum(axis=1)
-        return queueing + shipping
+        f = profile.fractions
+        return self.system.user_response_times(f) + (f * self.delays).sum(axis=1)
 
     def overall_cost(self, profile: StrategyProfile) -> float:
         phi = self.system.arrival_rates
@@ -95,59 +95,25 @@ def delayed_best_response(
     """Optimal fractions for one user of the delayed game.
 
     Solves ``min sum_i x_i/(a_i - x_i) + t_i x_i`` over ``x >= 0`` with
-    ``sum x = phi_j`` by bisecting on the KKT multiplier ``alpha``.  With
-    all delays zero this reduces exactly to the paper's OPTIMAL water-fill
-    (a property the tests pin down).
+    ``sum x = phi_j``: the class fill for a class of one, with the delays
+    as its offset.  With all delays zero this is the paper's OPTIMAL
+    water-fill (a property the tests pin down).  Computers with
+    nonpositive available rate get nothing.
 
-    Returns the fraction vector (loads divided by ``job_rate``).
+    Returns the fraction vector (loads divided by ``job_rate``).  Raises
+    ``ValueError`` on non-finite rates or delays, negative delays or a
+    nonpositive job rate, and ``InfeasibleDemand`` at capacity.
     """
-    a = np.asarray(available_rates, dtype=float)
+    a = _validate_inputs(available_rates, job_rate)
     t = np.asarray(delays, dtype=float)
-    if a.shape != t.shape or a.ndim != 1:
+    if a.shape != t.shape:
         raise ValueError("rates and delays must be equal-length vectors")
+    if not np.all(np.isfinite(t)) or np.any(t < 0.0):
+        raise ValueError("delays must be finite and nonnegative")
     if job_rate <= 0.0:
         raise ValueError("job rate must be positive")
-    usable = a > 0.0
-    if job_rate >= a[usable].sum():
-        raise ValueError("job rate must be below the total available rate")
-
-    a_use = a[usable]
-    t_use = t[usable]
-
-    def loads_at(alpha: float) -> np.ndarray:
-        # x_i(alpha) = a_i - sqrt(a_i / (alpha - t_i)) where positive.
-        slack = alpha - t_use
-        x = np.zeros_like(a_use)
-        active = slack > 1.0 / a_use  # marginal cost at 0 below alpha
-        x[active] = a_use[active] - np.sqrt(a_use[active] / slack[active])
-        return x
-
-    # Bracket alpha: at alpha_lo no computer is attractive (total = 0);
-    # grow alpha_hi until the induced flow covers the demand.
-    alpha_lo = float((1.0 / a_use + t_use).min())
-    alpha_hi = alpha_lo + 1.0
-    for _ in range(200):  # pragma: no branch
-        if loads_at(alpha_hi).sum() > job_rate:
-            break
-        alpha_hi = alpha_lo + 2.0 * (alpha_hi - alpha_lo)
-    else:  # pragma: no cover - demand < capacity guarantees a bracket
-        raise AssertionError("failed to bracket the KKT multiplier")
-
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (alpha_lo + alpha_hi)
-        if loads_at(mid).sum() < job_rate:
-            alpha_lo = mid
-        else:
-            alpha_hi = mid
-        if alpha_hi - alpha_lo <= _BISECTION_TOL * max(1.0, alpha_hi):
-            break
-    x_use = loads_at(alpha_hi)
-    total = x_use.sum()
-    if total > 0.0:
-        x_use *= job_rate / total
-    loads = np.zeros_like(a)
-    loads[usable] = x_use
-    return loads / job_rate
+    fill = _symmetric_class_fill(a, float(job_rate), 1.0, offset=t)
+    return fill.flows / job_rate
 
 
 @dataclass(frozen=True)
@@ -162,43 +128,31 @@ class DelayedNashResult:
 
 @dataclass(frozen=True)
 class DelayedNashSolver:
-    """Round-robin best replies for the communication-delay game."""
+    """Round-robin best replies for the communication-delay game.
+
+    Runs :class:`~repro.core.classes.ClassNashSolver`'s sweep driver from
+    the proportional split, one class per user, each user's delays the
+    offset of its fills; it emits the ``solver.*`` trace events.
+    """
 
     tolerance: float = 1e-6
     max_sweeps: int = 500
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+        self._driver()  # the class solver validates the configuration
+
+    def _driver(self) -> ClassNashSolver:
+        return ClassNashSolver(self.tolerance, self.max_sweeps)
 
     def solve(self, game: DelayedGame) -> DelayedNashResult:
-        system = game.system
-        m = system.n_users
-        fractions = StrategyProfile.proportional(system).fractions.copy()
-        last_costs = game.user_costs(StrategyProfile(fractions))
-
-        converged = False
-        sweeps = 0
-        for sweeps in range(1, self.max_sweeps + 1):
-            norm = 0.0
-            for j in range(m):
-                available = system.available_rates(fractions, j)
-                fractions[j] = delayed_best_response(
-                    available, game.delays[j], float(system.arrival_rates[j])
-                )
-                cost = game.user_costs(StrategyProfile(fractions))[j]
-                norm += abs(cost - last_costs[j])
-                last_costs[j] = cost
-            if norm <= self.tolerance:
-                converged = True
-                break
-
-        profile = StrategyProfile(fractions)
+        users = _singleton_classes(game.system)
+        result = self._driver()._run(
+            users, "proportional", None, _EVENTS["user"], game.delays
+        )
         return DelayedNashResult(
-            profile=profile,
-            converged=converged,
-            iterations=sweeps,
-            user_costs=game.user_costs(profile),
+            profile=StrategyProfile(result.class_fractions),
+            converged=result.converged,
+            iterations=result.iterations,
+            # One class per user: the member costs are the user costs.
+            user_costs=result.class_times,
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.best_response import optimal_fractions_batch
+from repro.core.classes import _member_times
 from repro.core.model import DistributedSystem
 from repro.core.strategy import StrategyProfile
 
@@ -56,16 +56,14 @@ class EquilibriumCertificate:
 def best_response_regrets(
     system: DistributedSystem, profile: StrategyProfile
 ) -> EquilibriumCertificate:
-    """Compute the per-user regret certificate for ``profile``."""
+    """Compute the per-user regret certificate for ``profile``.
+
+    It is :func:`repro.core.classes.class_best_response_regrets` with one
+    class per user: both evaluate the same formula."""
     profile.validate(system)
-    current = system.user_response_times(profile.fractions)
-    # All m best responses in one batched OPTIMAL call: row j's available
-    # rates are mu - (lam - phi_j s_j), i.e. the aggregate minus everyone
-    # else's flow.  validate() above guarantees a stable (positive) system.
+    # All m best responses in one batched OPTIMAL call, one class per user.
     phi = system.arrival_rates
-    flows = profile.fractions * phi[:, None]
-    available = (system.service_rates - flows.sum(axis=0))[None, :] + flows
-    best = optimal_fractions_batch(available, phi).expected_response_times
+    current, best = _member_times(system.service_rates, phi, phi, profile.fractions)
     regrets = current - best
     return EquilibriumCertificate(
         regrets=regrets,

@@ -36,10 +36,10 @@ from repro.core.classes import (
     _EVENTS,
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOLERANCE,
-    ClassAggregation,
     ClassNashSolver,
     Initialization,
     UpdateOrder,
+    _singleton_classes,
     initial_profile,
 )
 from repro.core.model import DistributedSystem
@@ -169,10 +169,7 @@ class NashSolver:
 
         The sweeps run in :class:`~repro.core.classes.ClassNashSolver`'s
         driver on one class per user, in user order, so each class reply
-        is exactly the user's OPTIMAL best reply.  The users are never
-        grouped by rate: equal-rate users keep their own Gauss-Seidel
-        turns (user 1 of NASH_0 sees an idle system, the users after it
-        do not).
+        is exactly the user's OPTIMAL best reply.
 
         ``tracer`` (default: the ambient tracer, disabled unless installed
         with :func:`repro.telemetry.use_tracer`) records one
@@ -182,16 +179,9 @@ class NashSolver:
         default no-op sink the instrumentation reduces to one branch per
         sweep (see docs/OBSERVABILITY.md for the overhead guarantee).
         """
-        phi = system.arrival_rates
-        m = system.n_users
-        aggregation = ClassAggregation(
-            service_rates=system.service_rates,
-            class_rates=phi,
-            counts=np.ones(m, dtype=np.intp),
-            demands=phi,
-            class_of=np.arange(m),
+        result = self._driver()._run(
+            _singleton_classes(system), init, tracer, _EVENTS["user"]
         )
-        result = self._driver()._run(aggregation, init, tracer, _EVENTS["user"])
         return NashResult(
             profile=StrategyProfile(result.class_fractions),
             converged=result.converged,

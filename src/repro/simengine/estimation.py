@@ -31,6 +31,7 @@ import numpy as np
 from repro.core.best_response import optimal_fractions
 from repro.core.equilibrium import best_response_regrets
 from repro.core.model import DistributedSystem
+from repro.core.nash import Initialization, initial_profile
 from repro.core.strategy import StrategyProfile
 from repro.simengine.simulator import LoadBalancingSimulation
 
@@ -91,7 +92,7 @@ def run_measured_best_reply(
     measurement_window: float = 200.0,
     sample_interval: float = 0.5,
     seed: int = 0,
-    init: str | StrategyProfile = "proportional",
+    init: Initialization | StrategyProfile = "proportional",
 ) -> MeasuredBestReplyResult:
     """Alternate simulated measurement and best-reply reaction.
 
@@ -105,9 +106,7 @@ def run_measured_best_reply(
     """
     if cycles < 1:
         raise ValueError("at least one cycle is required")
-    from repro.core.nash import initial_profile
-
-    profile = initial_profile(system, init)  # type: ignore[arg-type]
+    profile = initial_profile(system, init)
     if not profile.is_feasible(system):
         raise ValueError("measured loop needs a feasible starting profile")
     fractions = profile.fractions.copy()
